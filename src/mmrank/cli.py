@@ -151,16 +151,21 @@ def cmd_search(args) -> int:
     else:
         n = args.n if args.n is not None else 2
         field = field if field is not None else parse_field("F2")
+    if args.workers < 1:
+        return _fail_usage(f"--workers must be >= 1, got {args.workers}")
 
-    target = matmul_tensor(n, field)
-    cfg = SearchConfig(
-        seed=args.seed,
-        max_steps=args.max_steps,
-        plus_budget=args.plus_budget,
-        restarts=args.restarts,
-        patience=args.patience,
-        target_rank=args.target_rank,
-    )
+    try:
+        target = matmul_tensor(n, field)
+        cfg = SearchConfig(
+            seed=args.seed,
+            max_steps=args.max_steps,
+            plus_budget=args.plus_budget,
+            restarts=args.restarts,
+            patience=args.patience,
+            target_rank=args.target_rank,
+        )
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     if args.symmetric:
         if start is None:
             if n != 2:
@@ -255,6 +260,8 @@ def _random_matrix(field: Field, side: int, rng: Xoshiro256) -> Matrix:
 
 
 def cmd_bench(args) -> int:
+    if args.depth < 0:
+        return _fail_usage(f"--depth must be >= 0, got {args.depth}")
     try:
         prog, status = _load_verified_program(args.file)
     except (OSError, ParseError, ValueError) as exc:

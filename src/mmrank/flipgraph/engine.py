@@ -46,9 +46,9 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..fields import Field, PrimeField
+from ..fields import F2, Field, PrimeField
 from ..rng import Xoshiro256
-from .packing import expand_mask
+from ..tensors import sparse_expansion
 
 _OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
 _SLOT_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -78,12 +78,7 @@ class PackedF2Kernel:
         return x
 
     def expansion_matches(self, fac, count, target) -> bool:
-        acc = 0
-        n2 = self.n2
-        fu, fv, fw = fac
-        for t in range(count):
-            acc ^= expand_mask(fu[t], fv[t], fw[t], n2)
-        return acc == target
+        return sparse_expansion(F2, self.n, zip(*(f[:count] for f in fac))) == target
 
 
 class GenericKernel:
@@ -123,20 +118,7 @@ class GenericKernel:
         return tuple(Fraction(-1) if d == 2 else Fraction(d) for d in digits)
 
     def expansion_matches(self, fac, count, target) -> bool:
-        f = self.field
-        add, mul = f.add, f.mul
-        total = [f.zero] * self.n2**3
-        fu, fv, fw = fac
-        for t in range(count):
-            u, v, w = fu[t], fv[t], fw[t]
-            idx = 0
-            for a in u:
-                for b in v:
-                    ab = mul(a, b)
-                    for c in w:
-                        total[idx] = add(total[idx], mul(ab, c))
-                        idx += 1
-        return tuple(total) == target
+        return sparse_expansion(self.field, self.n, zip(*(f[:count] for f in fac))) == target
 
 
 @dataclass

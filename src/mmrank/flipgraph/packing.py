@@ -4,23 +4,20 @@ A matrix over F2 packs into an n*n-bit integer with bit i*n+j holding
 entry (i, j); with n <= 6 a factor fits in 36 bits and a full order-3
 tensor in n**6 <= 46656 bits.  Addition is XOR, and the expansion of a
 rank-one term is an OR-free scatter of the third factor, so the search
-engines can work on plain integers.
+engines can work on plain integers.  ``expand_mask`` lives in
+``tensors``, which verifies with it, and is re-exported here.
 """
 
 from __future__ import annotations
 
 from ..fields import F2
-from ..tensors import Decomposition, Matrix, RankOneTerm, Tensor
+from ..tensors import Decomposition, Matrix, RankOneTerm, Tensor, expand_mask, pack_bits  # noqa: F401
 
 
 def matrix_to_mask(m: Matrix) -> int:
     if m.field != F2:
         raise ValueError("packing requires F2 matrices")
-    mask = 0
-    for pos, e in enumerate(m.entries):
-        if e:
-            mask |= 1 << pos
-    return mask
+    return pack_bits(m.entries)
 
 
 def mask_to_matrix(n: int, mask: int) -> Matrix:
@@ -44,33 +41,12 @@ def unpack_terms(n: int, packed) -> tuple[RankOneTerm, ...]:
 def tensor_to_int(t: Tensor) -> int:
     if t.field != F2:
         raise ValueError("packing requires an F2 tensor")
-    mask = 0
-    for pos, c in enumerate(t.coeffs):
-        if c:
-            mask |= 1 << pos
-    return mask
+    return t.sparse()
 
 
 def int_to_words(mask: int, bits: int) -> list[int]:
     """Little-endian 64-bit words; word w holds bits 64w .. 64w+63."""
     return [(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range((bits + 63) // 64)]
-
-
-def expand_mask(u: int, v: int, w: int, n2: int) -> int:
-    """Packed expansion of a rank-one term: one bit per coefficient."""
-    out = 0
-    a = u
-    while a:
-        abit = (a & -a).bit_length() - 1
-        a &= a - 1
-        base_a = abit * n2
-        b = v
-        while b:
-            bbit = (b & -b).bit_length() - 1
-            b &= b - 1
-            out ^= w << ((base_a + bbit) * n2)
-        # positions are distinct across (abit, bbit), XOR equals OR here
-    return out
 
 
 def reverse_mask(mask: int, n2: int) -> int:

@@ -16,13 +16,7 @@ and are swept out after every move.
 
 from __future__ import annotations
 
-from ..tensors import (
-    Decomposition,
-    Matrix,
-    RankOneTerm,
-    Tensor,
-    expand_decomposition,
-)
+from ..tensors import Decomposition, Matrix, RankOneTerm, Tensor, verify
 
 
 class MoveRejected(Exception):
@@ -112,8 +106,7 @@ class SearchState:
 
     def check(self) -> None:
         """Assert the state still expands to the target (debug oracle)."""
-        got = expand_decomposition(self.decomposition())
-        if got != self.target:
+        if not verify(self.decomposition(), self.target).ok:
             raise AssertionError("search state no longer expands to the target")
 
 

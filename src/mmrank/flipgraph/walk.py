@@ -52,10 +52,10 @@ class SearchConfig:
     target_rank: int | None = None
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.plus_budget < 0 or self.restarts < 1 or self.verify_every < 0:
-            raise ValueError("invalid search configuration")
+        for name, low in (("max_steps", 1), ("restarts", 1), ("plus_budget", 0),
+                          ("verify_every", 0), ("patience", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,6 @@ def _to_kernel_terms(kernel, dec: Decomposition):
         (t.u.entries, t.v.entries, t.w.entries)
         for t in dec.terms
     ]
-
-
-def _to_kernel_target(kernel, target: Tensor):
-    if isinstance(kernel, PackedF2Kernel):
-        return packing.tensor_to_int(target)
-    return target.coeffs
 
 
 def _from_kernel_terms(kernel, field: Field, n: int, terms) -> tuple[RankOneTerm, ...]:
@@ -137,7 +131,7 @@ def random_walk(target: Tensor, start: Decomposition, cfg: SearchConfig,
         outcome = run_walk(
             kernel,
             _to_kernel_terms(kernel, start),
-            _to_kernel_target(kernel, target),
+            target.sparse(),
             seed=seed,
             max_steps=cfg.max_steps,
             plus_budget=cfg.plus_budget,

@@ -21,18 +21,20 @@ from dataclasses import dataclass
 
 from .fields import Field
 from .symmetry import (
+    GROUP,
     OrbitTerm,
     StabilizerTag,
     SymmetricDecomposition,
+    apply_group,
     expand_symmetric,
-    orbit_sum,
 )
 from .tensors import (
+    Decomposition,
     Matrix,
     Position,
     RankOneTerm,
     Tensor,
-    expand_term,
+    expand_decomposition,
     matmul_tensor,
 )
 
@@ -68,13 +70,13 @@ class TensorExpr:
 
 def eval_expr(e: TensorExpr, field: Field, n: int) -> Tensor:
     """Signed sum of atom expansions; empty expressions evaluate to zero."""
-    total = Tensor.zero(field, n)
+    terms = []
     for sign, kind, term in e.atoms:
         if term.field != field or term.n != n:
             raise ValueError("expression atom has mismatched field or side")
-        part = orbit_sum(term) if kind == ORBIT else expand_term(term)
-        total = total + part if sign > 0 else total - part
-    return total
+        images = [apply_group(g, term) for g in GROUP] if kind == ORBIT else [term]
+        terms.extend(t if sign > 0 else RankOneTerm(-t.u, t.v, t.w) for t in images)
+    return expand_decomposition(Decomposition(n, field, tuple(terms)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .fields import Field
-from .tensors import Decomposition, RankOneTerm, Tensor, expand_term
+from .tensors import Decomposition, RankOneTerm, Tensor, expand_decomposition
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,8 @@ def orbit(t: RankOneTerm) -> list[RankOneTerm]:
 
 def orbit_sum(t: RankOneTerm) -> Tensor:
     """Sum of g(t) over all six group elements, multiplicities included."""
-    f = t.field
-    add = f.add
-    total = [f.zero] * t.n**6
-    for g in GROUP:
-        exp = expand_term(apply_group(g, t))
-        total = [add(a, b) for a, b in zip(total, exp.coeffs)]
-    return Tensor(f, t.n, total)
+    images = tuple(apply_group(g, t) for g in GROUP)
+    return expand_decomposition(Decomposition(t.n, t.field, images))
 
 
 def stabilizer(t: RankOneTerm) -> list[GroupElement]:
@@ -218,18 +213,7 @@ class SymmetricDecomposition:
 
 def expand_symmetric(sd: SymmetricDecomposition) -> Tensor:
     """Full terms contribute once; trivial terms contribute their 6 images."""
-    f = sd.field
-    add = f.add
-    total = [f.zero] * sd.n**6
-    for ot in sd.orbit_terms:
-        if ot.tag is StabilizerTag.FULL:
-            images = [ot.rep]
-        else:
-            images = orbit(ot.rep)
-        for img in images:
-            exp = expand_term(img)
-            total = [add(a, b) for a, b in zip(total, exp.coeffs)]
-    return Tensor(f, sd.n, total)
+    return expand_decomposition(flatten(sd))
 
 
 def flatten(sd: SymmetricDecomposition) -> Decomposition:

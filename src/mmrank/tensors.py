@@ -1,10 +1,14 @@
-"""Matrices, rank-one terms and dense order-3 tensors with exact entries.
+"""Matrices, rank-one terms and order-3 tensors with exact entries.
 
 A :class:`Tensor` lives in the triple tensor power of the space of n x n
 matrices.  Coefficients are indexed by three (row, col) pairs, one per
 factor slot, with the first slot outermost; every module in this package
 uses this one convention.  Sides are capped at n = 6, so dense storage
 (n**6 <= 46656 scalars) stays trivial.
+
+Expansion and verification are sparse: summing terms (u, v, w) costs
+the sum of nnz(u) * nnz(v) * nnz(w) over the terms, not n**6 per term
+(see :func:`sparse_expansion`).
 
 The multiplication tensor for n x n matrices has coefficient 1 exactly at
 the positions ((i,j),(j,k),(k,i)) and 0 elsewhere; its n**3 basis summands
@@ -15,16 +19,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field, FieldElement, MixedFieldError
+from .fields import F2, Field, FieldElement, MixedFieldError
 
 MAX_SIDE = 6
 
 Position = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def pack_bits(values) -> int:
+    """Values 0 and 1 as the bits of one int, values[i] at bit i."""
+    return int(bytes(reversed(values)).translate(_BINARY_DIGITS), 2)
+
 
 def _check_side(n: int) -> None:
     if not 1 <= n <= MAX_SIDE:
         raise ValueError(f"side must be in [1, {MAX_SIDE}], got {n}")
+
+
+def _position(n: int, flat: int) -> Position:
+    n2 = n * n
+    s0, rest = divmod(flat, n2 * n2)
+    s1, s2 = divmod(rest, n2)
+    return ((s0 // n, s0 % n), (s1 // n, s1 % n), (s2 // n, s2 % n))
 
 
 class Matrix:
@@ -197,6 +215,19 @@ class Tensor:
     def zero(cls, field: Field, n: int) -> "Tensor":
         return cls(field, n, [field.zero] * n**6)
 
+    @classmethod
+    def from_sparse(cls, field: Field, n: int, acc) -> "Tensor":
+        """The dense tensor of a :func:`sparse_expansion` result."""
+        if field == F2:
+            acc = {flat: 1 for flat, bit in enumerate(reversed(f"{acc:b}")) if bit == "1"}
+        return cls(field, n, [acc.get(flat, field.zero) for flat in range(n**6)])
+
+    def sparse(self):
+        """This tensor in the form :func:`sparse_expansion` returns."""
+        if self.field == F2:
+            return pack_bits(self.coeffs)
+        return {flat: c for flat, c in enumerate(self.coeffs) if c}
+
     def _compat(self, other: "Tensor") -> None:
         if not isinstance(other, Tensor):
             raise TypeError("expected a Tensor")
@@ -235,16 +266,8 @@ class Tensor:
         return all(c == z for c in self.coeffs)
 
     def nonzero_positions(self) -> list[Position]:
-        n, n2 = self.n, self.n * self.n
         z = self.field.zero
-        out = []
-        for flat, c in enumerate(self.coeffs):
-            if c != z:
-                s2 = flat % n2
-                s1 = (flat // n2) % n2
-                s0 = flat // (n2 * n2)
-                out.append(((s0 // n, s0 % n), (s1 // n, s1 % n), (s2 // n, s2 % n)))
-        return out
+        return [_position(self.n, flat) for flat, c in enumerate(self.coeffs) if c != z]
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -303,27 +326,64 @@ def matmul_tensor(n: int, field: Field) -> Tensor:
     return Tensor(field, n, coeffs)
 
 
+def expand_mask(u: int, v: int, w: int, n2: int) -> int:
+    """Packed expansion of a rank-one term: one bit per coefficient."""
+    out = 0
+    a = u
+    while a:
+        abit = (a & -a).bit_length() - 1
+        a &= a - 1
+        base_a = abit * n2
+        b = v
+        while b:
+            bbit = (b & -b).bit_length() - 1
+            b &= b - 1
+            out ^= w << ((base_a + bbit) * n2)
+        # positions are distinct across (abit, bbit), XOR equals OR here
+    return out
+
+
+def sparse_expansion(field: Field, n: int, triples):
+    """Exact sum of u (x) v (x) w over (u, v, w) triples of raw entries.
+
+    Over F2: an int, bit ``flat`` holding that coefficient, XORed from
+    packed expansions (a factor may be given packed).  Elsewhere: a dict
+    from flat index to nonzero raw coefficient, scattered with + and * and
+    normalized once by ``field.coerce``.  Costs sum nnz(u)*nnz(v)*nnz(w).
+    """
+    n2 = n * n
+    if field == F2:
+        acc = 0
+        for t in triples:
+            acc ^= expand_mask(*(f if isinstance(f, int) else pack_bits(f) for f in t), n2)
+        return acc
+    n4 = n2 * n2
+    acc = {}
+    get = acc.get
+    for u, v, w in triples:
+        nv = [(j * n2, b) for j, b in enumerate(v) if b]
+        nw = [(k, c) for k, c in enumerate(w) if c]
+        for i, a in enumerate(u):
+            if a:
+                for j, b in nv:
+                    ab = a * b
+                    base = i * n4 + j
+                    for k, c in nw:
+                        acc[base + k] = get(base + k, 0) + ab * c
+    return {flat: r for flat, c in acc.items() if (r := field.coerce(c))}
+
+
+def _entries(terms):
+    return ((t.u.entries, t.v.entries, t.w.entries) for t in terms)
+
+
 def expand_term(t: RankOneTerm) -> Tensor:
     """Dense expansion of u (x) v (x) w."""
-    f = t.field
-    mul = f.mul
-    u, v, w = t.u.entries, t.v.entries, t.w.entries
-    coeffs = []
-    for a in u:
-        for b in v:
-            ab = mul(a, b)
-            coeffs.extend(mul(ab, c) for c in w)
-    return Tensor(f, t.n, coeffs)
+    return Tensor.from_sparse(t.field, t.n, sparse_expansion(t.field, t.n, _entries((t,))))
 
 
 def expand_decomposition(d: Decomposition) -> Tensor:
-    f = d.field
-    add = f.add
-    total = [f.zero] * d.n**6
-    for t in d.terms:
-        exp = expand_term(t)
-        total = [add(a, b) for a, b in zip(total, exp.coeffs)]
-    return Tensor(f, d.n, total)
+    return Tensor.from_sparse(d.field, d.n, sparse_expansion(d.field, d.n, _entries(d.terms)))
 
 
 def standard_decomposition(n: int, field: Field) -> Decomposition:
@@ -346,18 +406,19 @@ def standard_decomposition(n: int, field: Field) -> Decomposition:
 def verify(d: Decomposition, target: Tensor, max_mismatches: int = 16) -> VerifyResult:
     """Exact check that the decomposition expands to the target.
 
-    A mismatch is a result, not an error; up to ``max_mismatches`` differing
-    coordinates are reported to keep failure output readable.
+    A mismatch is a result, not an error.  The verdict compares whole
+    sparse sums; the first ``max_mismatches`` differing coordinates in
+    flat order (at least one) are reported to keep failure output readable.
     """
     if d.n != target.n or d.field != target.field:
         raise ValueError("decomposition and target have different shape or field")
-    got = expand_decomposition(d)
-    if got.coeffs == target.coeffs:
+    got = sparse_expansion(d.field, d.n, _entries(d.terms))
+    want = target.sparse()
+    if got == want:
         return VerifyResult(True, d.rank_bound, ())
-    diff = got - target
-    bad = []
-    for pos in diff.nonzero_positions():
-        bad.append(pos)
-        if len(bad) >= max_mismatches:
-            break
-    return VerifyResult(False, d.rank_bound, tuple(bad))
+    k = max(1, max_mismatches)
+    if d.field == F2:  # the set bits of the difference
+        bad = [f for f, bit in enumerate(reversed(f"{got ^ want:b}")) if bit == "1"][:k]
+    else:
+        bad = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))[:k]
+    return VerifyResult(False, d.rank_bound, tuple(_position(d.n, f) for f in bad))

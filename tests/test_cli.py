@@ -269,6 +269,29 @@ def test_compile_and_bench(tmp_path, capsys):
     assert code == 1
 
 
+# -- out-of-range arguments ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--max-steps", "0"],
+    ["search", "--restarts", "0"],
+    ["search", "--n", "0"],
+    ["search", "--n", "7"],
+    ["search", "--workers", "0"],
+    ["search", "--patience", "-1"],
+    ["bench", "SEVEN", "--depth", "-1"],
+], ids=" ".join)
+def test_out_of_range_argument_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_decomposition_file(tmp_path / "seven.txt", flatten(rank7_symmetric_form(Q)))
+    argv = ["seven.txt" if a == "SEVEN" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seven.txt"]  # no search output
+
+
 # -- process-level smoke -----------------------------------------------------------------
 
 

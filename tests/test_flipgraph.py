@@ -275,6 +275,15 @@ def test_walk_requires_verified_start():
         random_walk(m2, wrong, SearchConfig(seed=1, max_steps=10))
 
 
+@pytest.mark.parametrize("field", ["max_steps", "restarts", "plus_budget",
+                                   "verify_every", "patience"])
+def test_search_config_rejects_out_of_range(field):
+    low = {"max_steps": 1, "restarts": 1}.get(field, 0)
+    SearchConfig(**{"seed": 1, "max_steps": 1, field: low})
+    with pytest.raises(ValueError, match=f"{field} must be >= {low}"):
+        SearchConfig(**{"seed": 1, "max_steps": 1, field: low - 1})
+
+
 def test_walk_m1_is_already_minimal():
     m1 = matmul_tensor(1, F2)
     res = random_walk(m1, standard_decomposition(1, F2), SearchConfig(seed=1, max_steps=100))

@@ -8,6 +8,8 @@ from mmrank.tensors import (
     Decomposition,
     Matrix,
     RankOneTerm,
+    Tensor,
+    VerifyResult,
     expand_decomposition,
     expand_term,
     matmul_tensor,
@@ -15,7 +17,7 @@ from mmrank.tensors import (
     verify,
 )
 
-F7 = PrimeField(7)
+F3, F7, F101 = PrimeField(3), PrimeField(7), PrimeField(101)
 
 
 def rand_matrix(field, n, rnd):
@@ -162,7 +164,90 @@ def test_verify_mismatch_reports_omitted_summands():
 def test_verify_mismatch_cap():
     zero = Decomposition(3, Q, ())
     res = verify(zero, matmul_tensor(3, Q))
-    assert not res.ok and len(res.mismatches) == 16
+    # ((i,j),(j,k),(k,i)) ascends in flat order exactly as (i, j, k) ascends
+    # lexicographically; the first 16 of the 27 nonzeros are reported.
+    summands = [((i, j), (j, k), (k, i)) for i in range(3) for j in range(3) for k in range(3)]
+    assert res == VerifyResult(False, 0, tuple(summands[:16]))
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_verify_small_cap_reports_first_mismatch(cap):
+    partial = Decomposition(2, Q, standard_decomposition(2, Q).terms[1:])
+    res = verify(partial, matmul_tensor(2, Q), max_mismatches=cap)
+    assert res == VerifyResult(False, 7, (((0, 0), (0, 0), (0, 0)),))
+
+
+# -- oracle: a dense term-by-term expansion ---------------------------------------------
+
+
+def dense_reference(d):
+    """Coefficients of d by the definition: every product of every term, summed."""
+    f = d.field
+    total = [f.zero] * d.n**6
+    for t in d.terms:
+        prods = [f.mul(f.mul(a, b), c) for a in t.u.entries for b in t.v.entries for c in t.w.entries]
+        total = [f.add(x, y) for x, y in zip(total, prods)]
+    return total
+
+
+def flat_position(n, flat):
+    n2 = n * n
+    return tuple(divmod(s, n) for s in (flat // n2**2, flat // n2 % n2, flat % n2))
+
+
+def sparse_matrix(field, n, rnd):
+    density = rnd.choice((0.2, 0.5, 1.0))
+    ents = []
+    for _ in range(n * n):
+        if rnd.random() >= density:
+            ents.append(0)
+        elif field is Q:
+            ents.append(Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)))
+        else:
+            ents.append(rnd.randrange(field.p))
+    return Matrix(field, n, ents)
+
+
+def random_decomposition(field, n, rnd):
+    """Random terms, about half of them followed later by their negation."""
+    terms = []
+    for _ in range(rnd.randint(1, 4)):
+        t = RankOneTerm(*(sparse_matrix(field, n, rnd) for _ in range(3)))
+        terms.append(t)
+        if rnd.random() < 0.5:
+            terms.append(RankOneTerm(-t.u, t.v, t.w))
+    rnd.shuffle(terms)
+    return Decomposition(n, field, tuple(terms))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F101, Q], ids=lambda f: f.name)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_expansion_matches_dense_reference(field, n):
+    rnd = random.Random(f"{field.name}/{n}")
+    many = 0
+    for _ in range(6):
+        d = random_decomposition(field, n, rnd)
+        got = dense_reference(d)
+        assert expand_decomposition(d) == Tensor(field, n, got)
+        # every term next to its negation sums to zero, with no mismatch left over
+        pairs = Decomposition(n, field, tuple(
+            s for t in d.terms for s in (t, RankOneTerm(-t.u, t.v, t.w))))
+        assert expand_decomposition(pairs).is_zero
+        assert verify(pairs, Tensor.zero(field, n)) == VerifyResult(True, pairs.rank_bound, ())
+        # d itself, d without its first term, and m_n
+        targets = [
+            Tensor(field, n, got),
+            Tensor(field, n, dense_reference(Decomposition(n, field, d.terms[1:]))),
+            matmul_tensor(n, field),
+        ]
+        for target in targets:
+            bad = [f for f, (x, y) in enumerate(zip(got, target.coeffs)) if x != y]
+            many += len(bad) > 16
+            for cap in (0, 1, 16, 10**6):
+                want = tuple(flat_position(n, f) for f in bad[:max(cap, 1)])
+                assert verify(d, target, cap) == VerifyResult(not bad, d.rank_bound, want)
+    if n >= 3:
+        assert many  # some checks really truncate the mismatch list
 
 
 def test_matrix_basics():
