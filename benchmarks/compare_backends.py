@@ -1,4 +1,4 @@
-"""Benchmark the compiled walk kernel against the pure-Python twin.
+"""Benchmark the native walk kernel against the pure-Python twin.
 
 Both engines follow one trajectory contract, so the results are asserted
 identical; only the speed differs.  Run from the repository root:
@@ -37,14 +37,14 @@ def run_case(n: int, seed: int, steps: int):
         if tc > 0:
             print(f"  speedup: {tp / tc:.1f}x; identical trajectories confirmed")
     else:
-        print("  compiled kernel not built (MMRANK_NO_EXT set, or extension missing)")
+        print("  native kernel not loaded (MMRANK_NO_EXT set, or no C compiler)")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--steps", type=int, default=200_000)
     args = ap.parse_args()
-    for n, seed in ((2, 1), (3, 5)):
+    for n, seed in ((2, 1), (3, 5), (4, 7)):
         print(f"walk on the {n}x{n} multiplication tensor over F2, seed {seed}:")
         run_case(n, seed, args.steps)
 

@@ -1,7 +1,8 @@
 """Flip-graph local search over exact decompositions.
 
-The hot kernel (the packed walk over F2) has a compiled implementation
-selected at import when the extension is built; the pure-Python twin in
+The hot kernel (the packed walk over F2) has a native implementation in
+plain C (``_walk.c``), built with the system ``cc`` on first import,
+cached per user and selected whenever it loads; the pure-Python twin in
 :mod:`mmrank.flipgraph.engine` follows the identical trajectory contract,
 so results never depend on which one ran.  Set ``MMRANK_NO_EXT=1`` to
 force the pure path.

@@ -1,7 +1,7 @@
 """The canonical random-walk engine for flip-graph search.
 
-This module is the single definition of the walk; the compiled kernel in
-``_walk.pyx`` is a transliteration and must follow it bit for bit.  The
+This module is the single definition of the walk; the native kernel in
+``_walk.c`` is a transliteration and must follow it bit for bit.  The
 walk is a pure function of (terms, target, seed, limits):
 
 * State: an ordered list of terms, each a triple of nonzero factors.

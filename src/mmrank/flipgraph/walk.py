@@ -3,9 +3,10 @@
 ``random_walk`` runs one trajectory; ``search`` runs ``cfg.restarts``
 trajectories with seeds ``cfg.seed + k`` (optionally on worker processes;
 the merged answer never depends on the worker count).  Over F2 the walk
-runs on bit-packed terms, using the compiled kernel when it is built and
-an identical pure-Python twin otherwise; other fields use the generic
-engine.  Trajectories are a pure function of (target, start, config).
+runs on bit-packed terms, using the native kernel (``_walk.c``, built
+with the system C compiler) when it loaded and an identical pure-Python
+twin otherwise; other fields use the generic engine.  Trajectories are
+a pure function of (target, start, config).
 """
 
 from __future__ import annotations
@@ -16,16 +17,12 @@ from dataclasses import dataclass, replace
 
 from ..fields import F2, Field
 from ..tensors import Decomposition, Matrix, RankOneTerm, Tensor, verify
-from . import packing
+from . import _native, packing
 from .engine import GenericKernel, PackedF2Kernel, run_walk
 
-try:  # compiled kernel, built by setup.py; optional by design
-    if os.environ.get("MMRANK_NO_EXT"):
-        _walk_ext = None
-    else:
-        from . import _walk as _walk_ext
-except ImportError:
-    _walk_ext = None
+# The native kernel, built with the system cc on first import (see
+# _native); optional by design, and MMRANK_NO_EXT=1 forces the pure path.
+_walk_ext = None if os.environ.get("MMRANK_NO_EXT") or not _native.load() else _native
 
 HAVE_COMPILED = _walk_ext is not None
 
@@ -56,6 +53,8 @@ class SearchConfig:
                           ("verify_every", 0), ("patience", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        if self.target_rank is not None and self.target_rank < 0:
+            raise ValueError("target_rank must be >= 0")
 
 
 @dataclass(frozen=True)

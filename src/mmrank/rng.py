@@ -1,10 +1,10 @@
 """Seeded, portable 64-bit PRNG for reproducible search trajectories.
 
-xoshiro256** with splitmix64 state seeding.  The pure-Python and compiled
-search engines implement this generator bit for bit, so a (seed, config)
-pair yields one trajectory everywhere.  Uniform integers below m are drawn
-as next() % m; the modulo bias is irrelevant here, reproducibility is the
-contract.
+xoshiro256** with splitmix64 state seeding.  The pure-Python engine and
+the native kernel (``flipgraph/_walk.c``) implement this generator bit
+for bit, so a (seed, config) pair yields one trajectory everywhere.
+Uniform integers below m are drawn as next() % m; the modulo bias is
+irrelevant here, reproducibility is the contract.
 """
 
 from __future__ import annotations

@@ -279,6 +279,7 @@ def test_compile_and_bench(tmp_path, capsys):
     ["search", "--n", "7"],
     ["search", "--workers", "0"],
     ["search", "--patience", "-1"],
+    ["search", "--target-rank", "-1"],
     ["bench", "SEVEN", "--depth", "-1"],
 ], ids=" ".join)
 def test_out_of_range_argument_is_usage_error(argv, tmp_path, capsys, monkeypatch):

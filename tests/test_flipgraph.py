@@ -4,7 +4,6 @@ import pytest
 
 from mmrank.fields import F2, PrimeField, Q
 from mmrank.flipgraph import (
-    HAVE_COMPILED,
     MoveRejected,
     SearchConfig,
     SearchState,
@@ -276,7 +275,7 @@ def test_walk_requires_verified_start():
 
 
 @pytest.mark.parametrize("field", ["max_steps", "restarts", "plus_budget",
-                                   "verify_every", "patience"])
+                                   "verify_every", "patience", "target_rank"])
 def test_search_config_rejects_out_of_range(field):
     low = {"max_steps": 1, "restarts": 1}.get(field, 0)
     SearchConfig(**{"seed": 1, "max_steps": 1, field: low})
@@ -328,28 +327,86 @@ def test_generic_engine_matches_packed_on_f2():
         assert rp.decomposition.terms == rg.decomposition.terms
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_engine_matches_pure():
+def assert_backends_agree(target, start, cfg):
+    """The native and pure walks give one trace, rank, step count and scheme."""
+    rc, tc = random_walk(target, start, cfg, backend="compiled", collect_trace=True)
+    rp, tp = random_walk(target, start, cfg, backend="pure", collect_trace=True)
+    assert tc == tp
+    assert (rc.rank, rc.steps) == (rp.rank, rp.steps)
+    assert rc.decomposition.terms == rp.decomposition.terms
+    return rp, tp
+
+
+def test_compiled_engine_matches_pure(native):
     m2 = matmul_tensor(2, F2)
     start = standard_decomposition(2, F2)
     for seed in range(1, 9):
         cfg = SearchConfig(seed=seed, max_steps=4000, plus_budget=6)
-        rc, tc = random_walk(m2, start, cfg, backend="compiled", collect_trace=True)
-        rp, tp = random_walk(m2, start, cfg, backend="pure", collect_trace=True)
-        assert tc == tp
-        assert (rc.rank, rc.steps) == (rp.rank, rp.steps)
-        assert rc.decomposition.terms == rp.decomposition.terms
+        assert_backends_agree(m2, start, cfg)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_engine_matches_pure_on_m3():
+def test_compiled_engine_matches_pure_under_frequent_plus_moves(native):
+    # plus moves every few flips: splits, forbidden pairs and removals interleave
+    for n in (2, 3):
+        target = matmul_tensor(n, F2)
+        start = standard_decomposition(n, F2)
+        for seed in range(1, 6):
+            cfg = SearchConfig(seed=seed, max_steps=2000, plus_budget=2000, patience=5)
+            assert assert_backends_agree(target, start, cfg)[0].steps == 2000
+
+
+def test_compiled_engine_matches_pure_on_m3(native):
     m3 = matmul_tensor(3, F2)
     start = standard_decomposition(3, F2)
     cfg = SearchConfig(seed=11, max_steps=6000, plus_budget=8, patience=300)
-    rc, tc = random_walk(m3, start, cfg, backend="compiled", collect_trace=True)
-    rp, tp = random_walk(m3, start, cfg, backend="pure", collect_trace=True)
-    assert tc == tp
-    assert (rc.rank, rc.steps) == (rp.rank, rp.steps)
+    assert_backends_agree(m3, start, cfg)
+
+
+@pytest.mark.parametrize("n, steps", [(4, 3000), (5, 1500)])
+def test_compiled_engine_matches_pure_across_words(native, n, steps):
+    # targets of 64 and 245 words; at n=5 a 25-bit factor straddles words
+    target = matmul_tensor(n, F2)
+    start = standard_decomposition(n, F2)
+    cfg = SearchConfig(seed=n, max_steps=steps, plus_budget=steps, patience=50,
+                       verify_every=100)
+    res, trace = assert_backends_agree(target, start, cfg)
+    assert res.steps == steps
+    assert {k for (k, *_r) in trace} == {"flip", "reduce", "plus"}
+
+
+def test_compiled_engine_matches_pure_verifying_every_step(native):
+    m3 = matmul_tensor(3, F2)
+    cfg = SearchConfig(seed=3, max_steps=1500, plus_budget=100, patience=40, verify_every=1)
+    assert assert_backends_agree(m3, standard_decomposition(3, F2), cfg)[0].steps == 1500
+
+
+def test_compiled_engine_matches_pure_stopping_at_target_rank(native):
+    m3 = matmul_tensor(3, F2)
+    cfg = SearchConfig(seed=5, max_steps=100_000, plus_budget=1000, target_rank=25)
+    res, _trace = assert_backends_agree(m3, standard_decomposition(3, F2), cfg)
+    assert res.rank <= 25 and res.steps < 100_000
+
+
+def test_compiled_engine_matches_pure_running_out_of_moves(native):
+    # random starts whose walk, with no plus moves, reaches a state with no flip
+    for seed in (70, 100, 122):
+        rnd = random.Random(seed)
+        terms = [RankOneTerm(*(rand_matrix(F2, 2, rnd) for _ in range(3))) for _ in range(5)]
+        terms[1] = RankOneTerm(terms[0].u, terms[1].v, terms[1].w)
+        dec = Decomposition(2, F2, tuple(terms))
+        cfg = SearchConfig(seed=1, max_steps=1000, plus_budget=0)
+        res, _trace = assert_backends_agree(expand_decomposition(dec), dec, cfg)
+        assert 0 < res.steps < 1000
+
+
+def test_compiled_engine_matches_pure_from_zero_factors(native):
+    std = standard_decomposition(2, F2).terms
+    z = Matrix.zero(F2, 2)
+    dec = Decomposition(2, F2, (RankOneTerm(z, z, z), *std[:4], RankOneTerm(std[0].u, z, std[1].w),
+                                *std[4:]))
+    cfg = SearchConfig(seed=9, max_steps=2000, plus_budget=5)
+    res, _trace = assert_backends_agree(matmul_tensor(2, F2), dec, cfg)
+    assert res.steps == 2000
 
 
 def test_move_soundness_fuzz_f2():

@@ -1,0 +1,124 @@
+"""The native kernel's loader and the benchmark script that compares backends."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from mmrank.fields import F2
+from mmrank.flipgraph import HAVE_COMPILED, _native, packing
+from mmrank.flipgraph.engine import PackedF2Kernel, SoundnessError, run_walk
+from mmrank.tensors import matmul_tensor, standard_decomposition
+
+ROOT = Path(__file__).resolve().parent.parent
+PRINT_HAVE_COMPILED = "import mmrank.flipgraph as f; print(f.HAVE_COMPILED)"
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+
+
+def child_env(cli_env, cache, **extra):
+    env = {k: v for k, v in cli_env.items() if k != "MMRANK_NO_EXT"}
+    env.update(XDG_CACHE_HOME=str(cache), **extra)
+    return env
+
+
+@needs_cc
+def test_concurrent_first_imports_share_one_library(tmp_path, cli_env):
+    env = child_env(cli_env, tmp_path / "cache")
+    procs = [subprocess.Popen([sys.executable, "-c", PRINT_HAVE_COMPILED], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    outs = [p.communicate(timeout=300) for p in procs]
+    for p, (out, err) in zip(procs, outs):
+        assert p.returncode == 0, err
+        assert out.strip() == "True", err
+    built = sorted(p.name for p in (tmp_path / "cache" / "mmrank").iterdir())
+    assert len(built) == 1 and built[0].startswith("walk-") and built[0].endswith(".so")
+
+
+def test_no_ext_forces_pure_path(tmp_path, cli_env):
+    env = child_env(cli_env, tmp_path / "cache", MMRANK_NO_EXT="1")
+    proc = subprocess.run([sys.executable, "-c", PRINT_HAVE_COMPILED], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("compile_cmd", [
+    (sys.executable, "-c", "import sys; sys.exit(1)"),  # the compiler fails
+    ("/nonexistent/cc",),  # there is no compiler
+], ids=["fails", "missing"])
+def test_failed_build_means_pure_path(compile_cmd, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "COMPILE", compile_cmd)
+    assert _native.load() is False
+    assert list((tmp_path / "mmrank").iterdir()) == []  # no partial library left
+
+
+def m3_packed():
+    start = packing.pack_terms(standard_decomposition(3, F2))
+    target = packing.tensor_to_int(matmul_tensor(3, F2))
+    return start, target, packing.int_to_words(target, 3**6)
+
+
+def test_traced_walk_matches_pure_engine(native):
+    start, target, words = m3_packed()
+    limits = dict(max_steps=3000, plus_budget=40, patience=100, verify_every=7)
+    best, best_rank, steps, final, trace = _native.walk_f2(
+        3, start, words, 6, *limits.values(), -1, True)
+    pure = run_walk(PackedF2Kernel(3), start, target, seed=6, collect_trace=True, **limits)
+    assert trace == pure.trace
+    assert all(type(rec) is tuple for rec in trace)
+    assert (best_rank, steps) == (pure.best_rank, pure.steps)
+    assert len(final) != best_rank  # the final state is not the best one
+    assert (tuple(best), tuple(final)) == (pure.best_terms, pure.final_terms)
+    assert _native.walk_f2(3, start, words, 6, *limits.values(), -1, False)[4] is None
+
+
+def test_walk_outgrowing_its_first_capacity_is_rerun(native, monkeypatch):
+    start, target, words = m3_packed()
+    limits = dict(max_steps=400, plus_budget=400, patience=0, verify_every=0)
+    kernel, caps = _native._kernel, []
+
+    def spy(*args):
+        caps.append(args[11])  # term_cap
+        return kernel(*args)
+
+    monkeypatch.setattr(_native, "_kernel", spy)
+    monkeypatch.setattr(_native, "_first_cap", lambda n_terms: n_terms)
+    best, best_rank, steps, final, trace = _native.walk_f2(
+        3, start, words, 2, *limits.values(), -1, True)
+    assert caps[:2] == [27, 54] and len(caps) >= 2  # full at 27 terms, then doubled
+    pure = run_walk(PackedF2Kernel(3), start, target, seed=2, collect_trace=True, **limits)
+    assert trace == pure.trace
+    assert (best_rank, steps, tuple(best), tuple(final)) == (
+        pure.best_rank, pure.steps, pure.best_terms, pure.final_terms)
+
+
+@pytest.mark.parametrize("verify_every", [0, 1])
+def test_native_walk_reports_unsound_state(native, verify_every):
+    start, _target, words = m3_packed()
+    words[0] ^= 1  # the start no longer expands to this target
+    with pytest.raises(SoundnessError):
+        _native.walk_f2(3, start, words, 1, 100, 0, 10, verify_every, -1, False)
+
+
+def test_native_walk_rejects_bad_arguments(native):
+    start, _target, words = m3_packed()
+    with pytest.raises(ValueError, match="rejected"):
+        _native.walk_f2(3, start, words[:-1], 1, 100, 0, 10, 0, -1, False)
+    with pytest.raises(ValueError, match="rejected"):  # a factor wider than n*n bits
+        _native.walk_f2(3, [(1 << 9, 1, 1)] + start, words, 1, 100, 0, 10, 0, -1, False)
+
+
+def test_compare_backends_script_runs(cli_env):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "compare_backends.py"), "--steps", "2000"],
+        env=cli_env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for n in (2, 3, 4):
+        assert f"walk on the {n}x{n} multiplication tensor" in proc.stdout
+    confirmed = proc.stdout.count("identical trajectories confirmed")
+    assert confirmed == (3 if HAVE_COMPILED else 0), proc.stdout
