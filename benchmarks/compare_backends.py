@@ -1,34 +1,52 @@
-"""Benchmark the native walk kernel against the pure-Python twin.
+"""Benchmark the walk backends and the exact walks.
 
-Both engines follow one trajectory contract, so the results are asserted
-identical; only the speed differs.  Run from the repository root:
+The native F2 kernel and its pure-Python twin follow one trajectory
+contract, so their results are asserted identical; only the speed
+differs.  The exact walks (the generic engine over Q, the symmetric walk
+over F2 and F3) have one implementation each: every one runs twice, and
+the two runs are asserted identical.  Run from the repository root:
 
     python3 benchmarks/compare_backends.py [--steps N]
+
+The exact walks take N // 10 steps.
 """
 
 import argparse
 import time
 
-from mmrank.fields import F2
-from mmrank.flipgraph import HAVE_COMPILED, SearchConfig, random_walk
+from mmrank.fields import F2, PrimeField, Q
+from mmrank.flipgraph import HAVE_COMPILED, SearchConfig, random_walk, symmetric_random_walk
+from mmrank.proof import naive_symmetric_form
 from mmrank.tensors import matmul_tensor, standard_decomposition
+
+
+def walk_config(seed: int, steps: int) -> SearchConfig:
+    # a large plus budget keeps the walk moving for the whole step budget
+    return SearchConfig(seed=seed, max_steps=steps, plus_budget=steps, patience=200)
+
+
+def timed(walk):
+    t0 = time.perf_counter()
+    res = walk()
+    return res, time.perf_counter() - t0
+
+
+def report(label: str, res, dt: float):
+    rate = res.steps / dt if dt > 0 else float("inf")
+    print(f"  {label:>8}: rank {res.rank:3d}  {res.steps} steps  "
+          f"{dt:8.3f}s  ({rate:,.0f} steps/s)")
 
 
 def run_case(n: int, seed: int, steps: int):
     target = matmul_tensor(n, F2)
     start = standard_decomposition(n, F2)
-    # a large plus budget keeps the walk moving for the whole step budget
-    cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=steps, patience=200)
+    cfg = walk_config(seed, steps)
 
     results = {}
     for backend in ("pure", "compiled") if HAVE_COMPILED else ("pure",):
-        t0 = time.perf_counter()
-        res = random_walk(target, start, cfg, backend=backend)
-        dt = time.perf_counter() - t0
+        res, dt = timed(lambda: random_walk(target, start, cfg, backend=backend))
         results[backend] = (res, dt)
-        rate = res.steps / dt if dt > 0 else float("inf")
-        print(f"  {backend:>8}: rank {res.rank:3d}  {res.steps} steps  "
-              f"{dt:8.3f}s  ({rate:,.0f} steps/s)")
+        report(backend, res, dt)
 
     if HAVE_COMPILED:
         (rp, tp), (rc, tc) = results["pure"], results["compiled"]
@@ -40,6 +58,15 @@ def run_case(n: int, seed: int, steps: int):
         print("  native kernel not loaded (MMRANK_NO_EXT set, or no C compiler)")
 
 
+def run_exact_case(walk):
+    """Run one exact walk twice; both runs must give the same result."""
+    (r1, t1), (r2, t2) = timed(walk), timed(walk)
+    assert (r1.rank, r1.steps) == (r2.rank, r2.steps), "repeated walks diverged"
+    assert r1.decomposition == r2.decomposition
+    report("best of 2", r1, min(t1, t2))
+    print("  deterministic: both runs gave the same result")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--steps", type=int, default=200_000)
@@ -47,6 +74,15 @@ def main():
     for n, seed in ((2, 1), (3, 5), (4, 7)):
         print(f"walk on the {n}x{n} multiplication tensor over F2, seed {seed}:")
         run_case(n, seed, args.steps)
+
+    steps = max(1, args.steps // 10)
+    print("generic walk on the 3x3 multiplication tensor over Q, seed 1:")
+    run_exact_case(lambda: random_walk(matmul_tensor(3, Q), standard_decomposition(3, Q),
+                                       walk_config(1, steps)))
+    for field in (F2, PrimeField(3)):
+        print(f"symmetric walk on the 2x2 multiplication tensor over {field.name}, seed 1:")
+        run_exact_case(lambda: symmetric_random_walk(
+            matmul_tensor(2, field), naive_symmetric_form(field), walk_config(1, steps)))
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ def cmd_search(args) -> int:
                     "symmetric search has a default start only for n=2; pass --start"
                 )
             start = naive_symmetric_form(field)
-        result = symmetric_search(target, start, cfg)
+        result = symmetric_search(target, start, cfg, workers=args.workers)
     else:
         if start is None:
             start = standard_decomposition(n, field)

@@ -5,8 +5,9 @@ binds it with ``ctypes``.  The library is cached per user as
 ``$XDG_CACHE_HOME/mmrank/walk-<sha256 of the source>.so`` (default
 ``~/.cache/mmrank``), outside any checkout.  A build goes to a temporary
 file in that directory and is renamed into place, so concurrent processes
-and pool workers never load a partial library.  Any failure leaves the
-kernel unloaded and the pure engine in charge.
+and pool workers never load a partial library; a successful build then
+deletes the libraries built from other versions of the source.  Any
+failure leaves the kernel unloaded and the pure engine in charge.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ def _library(source: bytes) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in lib.parent.glob("walk-*.so"):  # built from earlier sources
+        if stale != lib:
+            stale.unlink(missing_ok=True)
     return lib
 
 

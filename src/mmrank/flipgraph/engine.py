@@ -38,6 +38,12 @@ walk is a pure function of (terms, target, seed, limits):
 * Each applied flip or plus move consumes one step; the walk stops at
   ``max_steps``, when a requested rank bound is reached, or when no move
   exists.  All randomness comes from one xoshiro256** stream.
+
+Factors are plain Python values: packed ints over F2, tuples of raw
+scalars otherwise.  Over Q an integral scalar is an ``int`` and only a
+non-integral one a ``Fraction`` (see :class:`GenericKernel`); since equal
+values of the two types hash, compare and order alike, the trajectory
+is the one an all-``Fraction`` state would follow.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add, sub as _sub
 
 from ..fields import F2, Field, PrimeField
 from ..rng import Xoshiro256
@@ -82,43 +89,69 @@ class PackedF2Kernel:
 
 
 class GenericKernel:
-    """Factors are tuples of raw field scalars."""
+    """Factors are tuples of raw field scalars.
+
+    Over a prime field they are residues.  Over Q an integral entry is an
+    ``int`` and only a non-integral one a ``Fraction``: :meth:`lift` puts
+    entries in that form and :meth:`add` / :meth:`sub` keep it.  An
+    ``int`` and the equal ``Fraction`` hash, compare and order alike, so
+    the groups, the active-key order and the trajectory are those of an
+    all-``Fraction`` walk, at the cost of ``int`` hashing.  ``Matrix``
+    coerces the entries back to ``Fraction`` on the way out.
+    """
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
         self.n2 = n * n
-        self.zero = (field.zero,) * self.n2
-        if isinstance(field, PrimeField):
+        self.zero = (0,) * self.n2
+        self.prime = isinstance(field, PrimeField)
+        if self.prime:
             self.base = field.p
         else:
             self.base = 3  # digits decode to {0, 1, -1} over Q
         self.space = self.base**self.n2
 
+    def lift(self, entries) -> tuple:
+        """Kernel form of raw entries of this field."""
+        if self.prime:
+            return tuple(entries)
+        return _integral(tuple(entries))
+
     def add(self, a, b):
-        f = self.field
-        return tuple(f.add(x, y) for x, y in zip(a, b))
+        if self.prime:
+            p = self.field.p
+            return tuple((x + y) % p for x, y in zip(a, b))
+        return _integral(tuple(map(_add, a, b)))
 
     def sub(self, a, b):
-        f = self.field
-        return tuple(f.sub(x, y) for x, y in zip(a, b))
+        if self.prime:
+            p = self.field.p
+            return tuple((x - y) % p for x, y in zip(a, b))
+        return _integral(tuple(map(_sub, a, b)))
 
     @staticmethod
     def key(a):
         return a[::-1]
 
     def decode_draw(self, x):
-        f = self.field
         digits = []
         for _ in range(self.n2):
             digits.append(x % self.base)
             x //= self.base
-        if isinstance(f, PrimeField):
+        if self.prime:
             return tuple(digits)
-        return tuple(Fraction(-1) if d == 2 else Fraction(d) for d in digits)
+        return tuple(-1 if d == 2 else d for d in digits)
 
     def expansion_matches(self, fac, count, target) -> bool:
         return sparse_expansion(self.field, self.n, zip(*(f[:count] for f in fac))) == target
+
+
+def _integral(t: tuple) -> tuple:
+    """``t`` with every integral ``Fraction`` replaced by its ``int``."""
+    if Fraction in map(type, t):
+        return tuple(x.numerator if x.denominator == 1 else x for x in t)
+    return t
 
 
 @dataclass

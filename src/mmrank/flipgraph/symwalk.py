@@ -21,25 +21,33 @@ Schedule, randomness and bookkeeping follow the plain walk: uniform
 choice over the enumerated flip candidates, greedy reductions in scan
 order after every move, a patience window before plus splits of a free
 orbit's representative, and one xoshiro256** stream for everything.
+Plus draws decode exactly as in the generic engine.
+
+The state holds plain values: each representative is a triple of raw
+entry tuples in :class:`~mmrank.flipgraph.engine.GenericKernel` form
+(integral rationals as ``int``), stored with its six images in
+``GROUP`` order, computed once when the representative is set.  On
+such triples the index inversion is ``m[::-1]`` on every factor and the
+rotation a slot cycle, and a stabilizer is a count of images equal to
+the representative.  ``Matrix``, ``RankOneTerm`` and ``OrbitTerm``
+objects are built only to check the start, for ``verify_every`` and the
+final check, and for the result.  ``symmetric_search`` runs and merges
+its restarts with :func:`~mmrank.flipgraph.walk.best_of_restarts`, like
+``search``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..fields import PrimeField
 from ..rng import Xoshiro256
 from ..symmetry import (
-    GROUP,
     OrbitTerm,
     StabilizerTag,
     SymmetricDecomposition,
-    apply_group,
     expand_symmetric,
-    stabilizer,
 )
 from ..tensors import Matrix, RankOneTerm, Tensor
-from .walk import MASK64, SearchConfig
+from .engine import GenericKernel
+from .walk import MASK64, SearchConfig, best_of_restarts
 
 _SLOTS = (0, 1, 2)
 _OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
@@ -55,10 +63,27 @@ class SymmetricSearchResult:
         self.seed = seed
 
 
-def _with_factor(t: RankOneTerm, slot: int, m: Matrix) -> RankOneTerm:
-    f = list(t.factors)
+def _images(rep: tuple) -> tuple:
+    """The six images of a raw (u, v, w) triple, in ``GROUP`` order.
+
+    Index inversion reverses every entry tuple; the slot rotation maps
+    (u, v, w) to (w, u, v).
+    """
+    u, v, w = rep
+    ru, rv, rw = u[::-1], v[::-1], w[::-1]
+    return (rep, (w, u, v), (v, w, u), (ru, rv, rw), (rw, ru, rv), (rv, rw, ru))
+
+
+def _free_images(rep: tuple):
+    """The images of ``rep`` if only the identity fixes it, else None."""
+    imgs = _images(rep)
+    return imgs if imgs.count(rep) == 1 else None
+
+
+def _with_factor(rep: tuple, slot: int, m: tuple) -> tuple:
+    f = list(rep)
     f[slot] = m
-    return RankOneTerm(*f)
+    return tuple(f)
 
 
 class _SymWalk:
@@ -69,19 +94,18 @@ class _SymWalk:
             raise ValueError("start symmetric decomposition does not expand to the target")
         self.field = start.field
         self.n = start.n
-        self.n2 = start.n * start.n
+        self.k = GenericKernel(start.field, start.n)
         self.target = target
         self.cfg = cfg
         self.rng = Xoshiro256(cfg.seed & MASK64)
-        self.reps: list[RankOneTerm] = [ot.rep for ot in start.orbit_terms]
+        # images[i]: the six images of representative i, which is images[i][0]
+        lift = self.k.lift
+        self.images: list[tuple] = [
+            _images(tuple(lift(m.entries) for m in ot.rep.factors)) for ot in start.orbit_terms
+        ]
         self.tags: list[StabilizerTag] = [ot.tag for ot in start.orbit_terms]
         self.forbidden: set[tuple[int, int]] = set()
         self.plus_left = cfg.plus_budget
-        if isinstance(self.field, PrimeField):
-            self.base = self.field.p
-        else:
-            self.base = 3
-        self.space = self.base**self.n2
         self.best_rank = None
         self.best = None
         self.char_kills_group_sum = self.field.characteristic in (2, 3)
@@ -89,7 +113,8 @@ class _SymWalk:
     # -- helpers ---------------------------------------------------------------
 
     def _rank(self) -> int:
-        return sum(t.orbit_size for t in self.tags)
+        # orbit sizes: 6 per TRIVIAL tag, 1 per FULL tag
+        return len(self.tags) + 5 * self.tags.count(StabilizerTag.TRIVIAL)
 
     def _trivial_indices(self) -> list[int]:
         return [i for i, t in enumerate(self.tags) if t is StabilizerTag.TRIVIAL]
@@ -98,18 +123,18 @@ class _SymWalk:
         r = self._rank()
         if self.best_rank is None or r < self.best_rank:
             self.best_rank = r
-            self.best = tuple(zip(self.reps, self.tags))
+            self.best = tuple((imgs[0], t) for imgs, t in zip(self.images, self.tags))
 
     def _delete(self, drop: list[int]) -> None:
         drop_set = set(drop)
         remap = {}
-        new_reps, new_tags = [], []
-        for i, (r, t) in enumerate(zip(self.reps, self.tags)):
+        new_images, new_tags = [], []
+        for i, (imgs, t) in enumerate(zip(self.images, self.tags)):
             if i not in drop_set:
-                remap[i] = len(new_reps)
-                new_reps.append(r)
+                remap[i] = len(new_images)
+                new_images.append(imgs)
                 new_tags.append(t)
-        self.reps, self.tags = new_reps, new_tags
+        self.images, self.tags = new_images, new_tags
         self.forbidden = {
             (remap[a], remap[b])
             for (a, b) in self.forbidden
@@ -120,18 +145,12 @@ class _SymWalk:
         if self.forbidden:
             self.forbidden = {p for p in self.forbidden if idx not in p}
 
-    def _draw_matrix(self) -> Matrix:
-        f = self.field
-        x = self.rng.below(self.space)
-        entries = []
-        for _ in range(self.n2):
-            d = x % self.base
-            x //= self.base
-            if isinstance(f, PrimeField):
-                entries.append(d)
-            else:
-                entries.append(Fraction(-1) if d == 2 else Fraction(d))
-        return Matrix(f, self.n, entries)
+    def _decomposition(self, pairs) -> SymmetricDecomposition:
+        field, n = self.field, self.n
+        return SymmetricDecomposition(n, field, tuple(
+            OrbitTerm(RankOneTerm(*(Matrix(field, n, m) for m in rep)), tag)
+            for rep, tag in pairs
+        ))
 
     # -- moves ----------------------------------------------------------------
 
@@ -139,35 +158,36 @@ class _SymWalk:
         cands = []
         triv = self._trivial_indices()
         for i in triv:
-            ri = self.reps[i]
+            ri = self.images[i][0]
             for j in triv:
                 if j == i:
                     continue
-                rj = self.reps[j]
-                for gi, g in enumerate(GROUP):
-                    image = apply_group(g, rj)
+                for gi, image in enumerate(self.images[j]):
                     for s in _SLOTS:
-                        if ri.factors[s] == image.factors[s]:
+                        if ri[s] == image[s]:
                             cands.append((i, j, gi, s, 0))
                             cands.append((i, j, gi, s, 1))
         return cands
 
     def _apply_flip(self, i, j, gi, s, o) -> bool:
         """Returns True when applied; False when tag revalidation rejects."""
-        image = apply_group(GROUP[gi], self.reps[j])
+        kern = self.k
+        image = self.images[j][gi]
         s1, s2 = _OTHER_SLOTS[s]
         oa, ob = (s1, s2) if o == 0 else (s2, s1)
-        ri = self.reps[i]
-        new_i = _with_factor(ri, oa, ri.factors[oa] + image.factors[oa])
-        new_j = _with_factor(image, ob, image.factors[ob] - ri.factors[ob])
-        keep_i = not any(m.is_zero for m in new_i.factors)
-        keep_j = not any(m.is_zero for m in new_j.factors)
-        if keep_i and len(stabilizer(new_i)) != 1:
+        ri = self.images[i][0]
+        new_i = _with_factor(ri, oa, kern.add(ri[oa], image[oa]))
+        new_j = _with_factor(image, ob, kern.sub(image[ob], ri[ob]))
+        keep_i = kern.zero not in new_i
+        keep_j = kern.zero not in new_j
+        imgs_i = _free_images(new_i) if keep_i else None
+        if keep_i and imgs_i is None:
             return False
-        if keep_j and len(stabilizer(new_j)) != 1:
+        imgs_j = _free_images(new_j) if keep_j else None
+        if keep_j and imgs_j is None:
             return False
-        self.reps[i] = new_i
-        self.reps[j] = new_j
+        self.images[i] = imgs_i
+        self.images[j] = imgs_j
         self._unforbid(i)
         self._unforbid(j)
         drop = [k for k, keep in ((i, keep_i), (j, keep_j)) if not keep]
@@ -178,27 +198,28 @@ class _SymWalk:
 
     def _find_reduction(self):
         """First viable reduction in scan order, or None."""
+        kern = self.k
         triv = self._trivial_indices()
         for i in triv:
-            ri = self.reps[i]
+            ri = self.images[i][0]
             for j in triv:
                 if j == i:
                     continue
                 pair = (min(i, j), max(i, j))
                 if pair in self.forbidden:
                     continue
-                for gi, g in enumerate(GROUP):
-                    image = apply_group(g, self.reps[j])
-                    shared = [s for s in _SLOTS if ri.factors[s] == image.factors[s]]
-                    if len(shared) < 2:
+                for image in self.images[j]:
+                    same = [ri[s] == image[s] for s in _SLOTS]
+                    if sum(same) < 2:
                         continue
-                    o = 2 if len(shared) == 3 else ({0, 1, 2} - set(shared)).pop()
-                    merged = _with_factor(ri, o, ri.factors[o] + image.factors[o])
-                    if any(m.is_zero for m in merged.factors):
+                    o = same.index(False) if False in same else 2
+                    merged = _with_factor(ri, o, kern.add(ri[o], image[o]))
+                    if kern.zero in merged:
                         return (i, j, None)
-                    stab = len(stabilizer(merged))
+                    imgs = _images(merged)
+                    stab = imgs.count(merged)
                     if stab == 1:
-                        return (i, j, merged)
+                        return (i, j, imgs)
                     if stab == 6 and self.char_kills_group_sum:
                         # merged is group fixed: the pair sums to 6 * merged = 0
                         return (i, j, None)
@@ -216,48 +237,47 @@ class _SymWalk:
             if merged is None:
                 self._delete(sorted((i, j)))
             else:
-                self.reps[i] = merged
+                self.images[i] = merged
                 self._unforbid(i)
                 self._delete([j])
             reduced = True
 
     def _try_plus(self) -> bool:
+        kern = self.k
         triv = self._trivial_indices()
         if not triv:
             self.plus_left = 0
             return False
         t = triv[self.rng.below(len(triv))]
         s = self.rng.below(3)
-        a = self.reps[t].factors[s]
+        rep = self.images[t][0]
+        a = rep[s]
         split = None
         for _ in range(100):
-            m1 = self._draw_matrix()
-            if m1.is_zero or m1 == a:
+            m1 = kern.decode_draw(self.rng.below(kern.space))
+            if m1 == kern.zero or m1 == a:
                 continue
-            first = _with_factor(self.reps[t], s, m1)
-            second = _with_factor(self.reps[t], s, a - m1)
-            if len(stabilizer(first)) == 1 and len(stabilizer(second)) == 1:
+            first = _free_images(_with_factor(rep, s, m1))
+            second = None if first is None else _free_images(_with_factor(rep, s, kern.sub(a, m1)))
+            if second is not None:
                 split = (first, second)
                 break
         if split is None:
             self.plus_left = 0
             return False
         first, second = split
-        self.reps[t] = first
+        self.images[t] = first
         self._unforbid(t)
-        self.reps.append(second)
+        self.images.append(second)
         self.tags.append(StabilizerTag.TRIVIAL)
-        new = len(self.reps) - 1
+        new = len(self.images) - 1
         self.forbidden.add((t, new))
         self._reduce_all()
         self.plus_left -= 1
         return True
 
     def _verify(self):
-        sd = SymmetricDecomposition(
-            self.n, self.field,
-            tuple(OrbitTerm(r, t) for r, t in zip(self.reps, self.tags)),
-        )
+        sd = self._decomposition((imgs[0], t) for imgs, t in zip(self.images, self.tags))
         if expand_symmetric(sd) != self.target:
             raise AssertionError("symmetric walk state no longer expands to the target")
 
@@ -292,10 +312,7 @@ class _SymWalk:
             if cfg.verify_every and steps % cfg.verify_every == 0:
                 self._verify()
         self._verify()
-        best = SymmetricDecomposition(
-            self.n, self.field,
-            tuple(OrbitTerm(r, t) for r, t in self.best),
-        )
+        best = self._decomposition(self.best)
         if expand_symmetric(best) != self.target:
             raise AssertionError("symmetric walk best state fails verification")
         return SymmetricSearchResult(best, self.best_rank, steps, cfg.seed & MASK64)
@@ -308,12 +325,10 @@ def symmetric_random_walk(target: Tensor, start: SymmetricDecomposition,
 
 
 def symmetric_search(target: Tensor, start: SymmetricDecomposition,
-                     cfg: SearchConfig) -> SymmetricSearchResult:
-    """Best of cfg.restarts walks, restart k seeded with seed + k."""
-    from dataclasses import replace
+                     cfg: SearchConfig, workers: int = 1) -> SymmetricSearchResult:
+    """Best of cfg.restarts walks, restart k seeded with seed + k.
 
-    results = []
-    for k in range(cfg.restarts):
-        sub = replace(cfg, seed=(cfg.seed + k) & MASK64, restarts=1)
-        results.append(symmetric_random_walk(target, start, sub))
-    return min(enumerate(results), key=lambda kv: (kv[1].rank, kv[0]))[1]
+    Restarts run and merge as in :func:`~mmrank.flipgraph.walk.search`,
+    so the answer is identical for any worker count.
+    """
+    return best_of_restarts(symmetric_random_walk, target, start, cfg, workers)

@@ -2,11 +2,12 @@
 
 ``random_walk`` runs one trajectory; ``search`` runs ``cfg.restarts``
 trajectories with seeds ``cfg.seed + k`` (optionally on worker processes;
-the merged answer never depends on the worker count).  Over F2 the walk
-runs on bit-packed terms, using the native kernel (``_walk.c``, built
-with the system C compiler) when it loaded and an identical pure-Python
-twin otherwise; other fields use the generic engine.  Trajectories are
-a pure function of (target, start, config).
+the merged answer never depends on the worker count); its restart
+merging, :func:`best_of_restarts`, serves the symmetric walk too.  Over
+F2 the walk runs on bit-packed terms, using the native kernel
+(``_walk.c``, built with the system C compiler) when it loaded and an
+identical pure-Python twin otherwise; other fields use the generic
+engine.  Trajectories are a pure function of (target, start, config).
 """
 
 from __future__ import annotations
@@ -74,10 +75,8 @@ def _kernel_for(field: Field, n: int, backend: str):
 def _to_kernel_terms(kernel, dec: Decomposition):
     if isinstance(kernel, PackedF2Kernel):
         return packing.pack_terms(dec)
-    return [
-        (t.u.entries, t.v.entries, t.w.entries)
-        for t in dec.terms
-    ]
+    lift = kernel.lift
+    return [(lift(t.u.entries), lift(t.v.entries), lift(t.w.entries)) for t in dec.terms]
 
 
 def _from_kernel_terms(kernel, field: Field, n: int, terms) -> tuple[RankOneTerm, ...]:
@@ -154,23 +153,29 @@ def random_walk(target: Tensor, start: Decomposition, cfg: SearchConfig,
 
 
 def _one_restart(args):
-    target, start, cfg, k, backend = args
+    walk, target, start, cfg, k, options = args
     sub = replace(cfg, seed=(cfg.seed + k) & MASK64, restarts=1)
-    return random_walk(target, start, sub, backend=backend)
+    return walk(target, start, sub, **options)
 
 
-def search(target: Tensor, start: Decomposition, cfg: SearchConfig,
-           workers: int = 1, backend: str = "auto") -> SearchResult:
-    """Best result over cfg.restarts walks; restart k uses seed + k.
+def best_of_restarts(walk, target, start, cfg: SearchConfig, workers: int = 1, **options):
+    """Best of cfg.restarts runs of ``walk``; restart k uses seed + k.
 
-    Results merge by (rank, restart index), so the answer is identical
-    for any worker count.
+    ``walk(target, start, cfg, **options)`` must be a module-level
+    function (pool workers receive it by name) returning a result with a
+    ``rank``.  Results merge by (rank, restart index), so the answer is
+    identical for any worker count.
     """
-    jobs = [(target, start, cfg, k, backend) for k in range(cfg.restarts)]
+    jobs = [(walk, target, start, cfg, k, options) for k in range(cfg.restarts)]
     if workers > 1 and cfg.restarts > 1:
         with ProcessPoolExecutor(max_workers=min(workers, cfg.restarts)) as pool:
             results = list(pool.map(_one_restart, jobs))
     else:
         results = [_one_restart(j) for j in jobs]
-    best = min(enumerate(results), key=lambda kv: (kv[1].rank, kv[0]))[1]
-    return best
+    return min(enumerate(results), key=lambda kv: (kv[1].rank, kv[0]))[1]
+
+
+def search(target: Tensor, start: Decomposition, cfg: SearchConfig,
+           workers: int = 1, backend: str = "auto") -> SearchResult:
+    """Best result over cfg.restarts walks (see :func:`best_of_restarts`)."""
+    return best_of_restarts(random_walk, target, start, cfg, workers, backend=backend)

@@ -18,6 +18,7 @@ form the standard (expensive) decomposition that search starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .fields import F2, Field, FieldElement, MixedFieldError
 
@@ -198,9 +199,13 @@ class RankOneTerm:
 
 
 class Tensor:
-    """Dense order-3 tensor over triples of n x n index pairs."""
+    """Dense order-3 tensor over triples of n x n index pairs.
 
-    __slots__ = ("field", "n", "coeffs")
+    Tensors are immutable; :meth:`sparse` scans the coefficients once and
+    keeps the result.
+    """
+
+    __slots__ = ("field", "n", "coeffs", "_sparse")
 
     def __init__(self, field: Field, n: int, coeffs):
         _check_side(n)
@@ -210,6 +215,10 @@ class Tensor:
         self.field = field
         self.n = n
         self.coeffs = raw
+        self._sparse = None
+
+    def __reduce__(self):
+        return (Tensor, (self.field, self.n, self.coeffs))
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "Tensor":
@@ -223,10 +232,18 @@ class Tensor:
         return cls(field, n, [acc.get(flat, field.zero) for flat in range(n**6)])
 
     def sparse(self):
-        """This tensor in the form :func:`sparse_expansion` returns."""
-        if self.field == F2:
-            return pack_bits(self.coeffs)
-        return {flat: c for flat, c in enumerate(self.coeffs) if c}
+        """This tensor in the form :func:`sparse_expansion` returns.
+
+        Computed on the first call; later calls return the same object,
+        read-only (a mapping proxy) outside F2.
+        """
+        if self._sparse is None:
+            if self.field == F2:
+                self._sparse = pack_bits(self.coeffs)
+            else:
+                self._sparse = MappingProxyType(
+                    {flat: c for flat, c in enumerate(self.coeffs) if c})
+        return self._sparse
 
     def _compat(self, other: "Tensor") -> None:
         if not isinstance(other, Tensor):

@@ -7,6 +7,7 @@ import pytest
 from mmrank.cli import main, parse_factor, parse_term_spec
 from mmrank.fields import Q
 from mmrank.fileformat import read_decomposition_file, write_decomposition_file
+from mmrank.flipgraph import walk
 from mmrank.proof import rank7_symmetric_form
 from mmrank.symmetry import SymmetricDecomposition, flatten
 from mmrank.tensors import Decomposition, Matrix
@@ -154,6 +155,31 @@ def test_search_restarts_and_workers_flags(tmp_path, capsys):
     assert {k: s1[k] for k in ("rank", "seed", "steps")} == {
         k: s2[k] for k in ("rank", "seed", "steps")
     }
+
+
+def test_symmetric_search_result_does_not_depend_on_workers(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool(walk.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(walk, "ProcessPoolExecutor", RecordingPool)
+    # restarts 0-2 (seeds 44-46) stay at rank 13; restarts 3 and 4 reach 7,
+    # and the tie goes to the earlier restart
+    args = ["search", "--symmetric", "--field", "F3", "--seed", "44", "--max-steps", "30",
+            "--plus-budget", "2", "--patience", "5", "--restarts", "5"]
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.txt"
+        code, stdout, _ = run_cli(args + ["--workers", workers, "--out", str(out)], capsys)
+        assert code == 0
+        summary = json.loads(stdout.strip().splitlines()[-1])
+        runs.append(({k: summary[k] for k in ("rank", "seed", "steps")}, out.read_bytes()))
+    assert pools == [2]  # --workers 2 ran the restarts on a pool
+    assert runs[0] == runs[1]
+    assert runs[0][0] == {"rank": 7, "seed": 47, "steps": 17}
 
 
 def test_search_from_start_file(tmp_path, capsys):

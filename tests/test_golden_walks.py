@@ -1,0 +1,120 @@
+"""Golden trajectories of the exact walks.
+
+Each case pins one walk: the SHA-256 of its trace (generic engine only;
+the symmetric walk records none), its rank, its step count and the
+SHA-256 of the file written from its result.  The values were recorded
+with the walks that carried every scalar as a ``Fraction`` and every
+orbit representative as ``Matrix`` objects; a walk on any other value
+representation must reproduce them byte for byte.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from mmrank.fields import F2, PrimeField, Q
+from mmrank.fileformat import write_decomposition_file
+from mmrank.flipgraph import SearchConfig, random_walk
+from mmrank.flipgraph.symwalk import symmetric_random_walk
+from mmrank.proof import naive_symmetric_form
+from mmrank.tensors import Decomposition, RankOneTerm, matmul_tensor, standard_decomposition
+
+F3 = PrimeField(3)
+
+
+def scaled_start(n):
+    """The standard terms as (u * c, v, w / c) with c = 2/3, 4/3, 2, ...
+
+    Most entries are then not integral, although the scheme expands to
+    the same tensor.
+    """
+    terms = []
+    for k, t in enumerate(standard_decomposition(n, Q).terms):
+        c = Fraction(2 * (k + 1), 3)
+        terms.append(RankOneTerm(t.u.scale(c), t.v, t.w.scale(1 / c)))
+    return Decomposition(n, Q, tuple(terms))
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_sha(tmp_path, dec) -> str:
+    path = tmp_path / "result.txt"
+    write_decomposition_file(path, dec)
+    return sha(path.read_bytes())
+
+
+# name: (n, start, seed, max_steps, plus_budget, patience, verify_every,
+#        trace sha, rank, steps, file sha)
+GENERIC = {
+    "q_m3_standard": (
+        3, "standard", 1, 1500, 30, 100, 0,
+        "4bab62fc0c4c872579f159595a60a9ee6ea6b0a47346a97f02b35880210f1899",
+        27, 1500, "69a327454eda383a606cb7a54929f374bc2f839e0ada9a857f30848751f09f9f"),
+    "q_m3_standard_frequent_plus": (
+        3, "standard", 7, 1200, 1200, 5, 0,
+        "eee89d8b1fec3a0a8ed701c2e71b35183b27fb2134c0f949efd16aa419102be6",
+        27, 1200, "69a327454eda383a606cb7a54929f374bc2f839e0ada9a857f30848751f09f9f"),
+    "q_m3_scaled": (
+        3, "scaled", 2, 1200, 40, 50, 0,
+        "bbd04d85a9eb7c19c86a1937766a41ac0ebb65f912f6d56264a337c1a8167207",
+        27, 1200, "f0058295d0ae897fb809e795d2e74e229efba2320cab861e8f13379faa135aed"),
+    "q_m3_scaled_verify_every_step": (
+        3, "scaled", 3, 200, 10, 20, 1,
+        "53efb6d55a6327c9c8dee65690e99e2ae7152c86fad8d5a0bada74d065467eb7",
+        27, 200, "f0058295d0ae897fb809e795d2e74e229efba2320cab861e8f13379faa135aed"),
+    "q_m2_scaled_frequent_plus": (
+        2, "scaled", 5, 3000, 3000, 10, 0,
+        "060757b5c54c43787afbe8d4e618f05e3d0ac5722be0164b6e7a1a13ff488516",
+        8, 3000, "5ef4cd8c2282ea582941361569782d9c7680650bd8537b42de538a8a4e4045f9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_generic_q_walk_trajectory(tmp_path, name):
+    n, kind, seed, steps, plus, patience, every, trace_sha, rank, n_steps, out_sha = GENERIC[name]
+    start = standard_decomposition(n, Q) if kind == "standard" else scaled_start(n)
+    cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=plus, patience=patience,
+                       verify_every=every)
+    res, trace = random_walk(matmul_tensor(n, Q), start, cfg, collect_trace=True)
+    got = (sha(repr(trace).encode()), res.rank, res.steps, file_sha(tmp_path, res.decomposition))
+    assert got == (trace_sha, rank, n_steps, out_sha)
+
+
+# name: (field, seed, max_steps, plus_budget, patience, verify_every,
+#        rank, steps, file sha).  The "seed" cases change when the walk
+# skips a stabilizer rejection or enumerates the two rotated images of a
+# partner in the other order.
+SYMMETRIC = {
+    "F2": (F2, 1, 2000, 5, 50, 0, 7, 68,
+          "74f11f83ab50625000054f04c58969405eade5cb2f60d1ba1a86290ee9c13887"),
+    "F2_frequent_plus": (F2, 4, 1500, 1500, 10, 0, 7, 1500,
+                        "10560e9ace56a67ea8007db76d2a05a98c10cf50d0ea2b84960ac1d7a2062253"),
+    "F3": (F3, 2, 2000, 5, 50, 0, 7, 62,
+          "51423cb57d38054466ea69ec2db637ccc8178e2bf95d70de88bae578474bb3a0"),
+    "F3_frequent_plus": (F3, 6, 600, 600, 10, 0, 7, 600,
+                        "9344d22d9b0f96882c7efef4fdcb7de696d7e18aab580a733f1914d86c4dad4a"),
+    "F2_seed7_short": (F2, 7, 300, 300, 5, 0, 7, 300,
+                      "bfb7b69abc4a333602cd77a923be4540957077b115b8c7fc2ffd980e86390351"),
+    "F2_seed8_short": (F2, 8, 300, 300, 5, 0, 7, 300,
+                      "630d5cdd4ad3f3a845e70b80647b80683439665e9fc9769369ffc0df3a37b4fc"),
+    "F3_seed6_few_plus": (F3, 6, 1000, 3, 40, 0, 13, 136,
+                         "94e5651b9dfeab696a4adf5b605eb6c96d8c0eba993d42a6aad17c1e2ffc5c46"),
+    "F3_seed31_short": (F3, 31, 300, 300, 5, 0, 7, 300,
+                       "d9d4eb9f6243ff54bdfd6d99e7386feeebef554e0b217fba18d5a863833860a3"),
+    "Q": (Q, 3, 800, 5, 50, 0, 7, 800,
+         "c36727a7ffefd5d0b5bc0dc1013f2634e83c7b7b67ea1c4c936de3cf19df810a"),
+    "Q_verify_every_step": (Q, 5, 300, 20, 10, 1, 7, 150,
+                           "88228604c5cd3d688d8518de58cba35aab66f29a548552ce8662bdcdd4624782"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_symmetric_walk_trajectory(tmp_path, name):
+    field, seed, steps, plus, patience, every, rank, n_steps, out_sha = SYMMETRIC[name]
+    cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=plus, patience=patience,
+                       verify_every=every)
+    res = symmetric_random_walk(matmul_tensor(2, field), naive_symmetric_form(field), cfg)
+    assert (res.rank, res.steps, file_sha(tmp_path, res.decomposition)) == (rank, n_steps, out_sha)

@@ -57,6 +57,39 @@ def test_failed_build_means_pure_path(compile_cmd, tmp_path, monkeypatch):
     assert list((tmp_path / "mmrank").iterdir()) == []  # no partial library left
 
 
+def stale_libraries(cache):
+    """Libraries as earlier versions of the source would have left them."""
+    cache.mkdir(parents=True)
+    stale = [cache / "walk-0000.so", cache / "walk-1111.so"]
+    for path in stale:
+        path.write_bytes(b"")
+    return stale
+
+
+@needs_cc
+def test_build_prunes_libraries_of_earlier_sources(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "mmrank"
+    stale = stale_libraries(cache)
+    others = [cache / "walk-2222.tmp", cache / "notes.txt"]
+    for path in others:
+        path.write_bytes(b"")
+    lib = _native._library(_native.SOURCE.read_bytes())
+    assert sorted(cache.iterdir()) == sorted([lib, *others])
+    # a cache hit builds nothing, so it prunes nothing
+    stale[0].write_bytes(b"")
+    assert _native._library(_native.SOURCE.read_bytes()) == lib
+    assert sorted(cache.iterdir()) == sorted([lib, stale[0], *others])
+
+
+def test_failed_build_prunes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "COMPILE", (sys.executable, "-c", "import sys; sys.exit(1)"))
+    stale = stale_libraries(tmp_path / "mmrank")
+    assert _native.load() is False
+    assert sorted((tmp_path / "mmrank").iterdir()) == stale
+
+
 def m3_packed():
     start = packing.pack_terms(standard_decomposition(3, F2))
     target = packing.tensor_to_int(matmul_tensor(3, F2))
@@ -122,3 +155,4 @@ def test_compare_backends_script_runs(cli_env):
         assert f"walk on the {n}x{n} multiplication tensor" in proc.stdout
     confirmed = proc.stdout.count("identical trajectories confirmed")
     assert confirmed == (3 if HAVE_COMPILED else 0), proc.stdout
+    assert proc.stdout.count("deterministic: both runs gave the same result") == 3, proc.stdout

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -248,6 +249,25 @@ def test_sparse_expansion_matches_dense_reference(field, n):
                 assert verify(d, target, cap) == VerifyResult(not bad, d.rank_bound, want)
     if n >= 3:
         assert many  # some checks really truncate the mismatch list
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=lambda f: f.name)
+def test_sparse_form_is_cached_and_equals_a_fresh_scan(field):
+    rnd = random.Random(f"sparse/{field.name}")
+    for n in (1, 2, 3):
+        for t in (matmul_tensor(n, field), expand_decomposition(random_decomposition(field, n, rnd)),
+                  Tensor.zero(field, n)):
+            first = t.sparse()
+            assert t.sparse() is first
+            fresh = Tensor(field, n, t.coeffs).sparse()
+            assert fresh == first
+            if field == F2:
+                assert first == sum(1 << f for f, c in enumerate(t.coeffs) if c)
+            else:
+                assert dict(first) == {f: c for f, c in enumerate(t.coeffs) if c}
+                with pytest.raises(TypeError):
+                    first[0] = field.one  # shared, so read-only
+            assert pickle.loads(pickle.dumps(t)) == t  # as sent to pool workers
 
 
 def test_matrix_basics():
