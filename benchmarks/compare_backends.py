@@ -1,10 +1,12 @@
 """Benchmark the walk backends and the exact walks.
 
-The native F2 kernel and its pure-Python twin follow one trajectory
-contract, so their results are asserted identical; only the speed
-differs.  The exact walks (the generic engine over Q, the symmetric walk
-over F2 and F3) have one implementation each: every one runs twice, and
-the two runs are asserted identical.  Run from the repository root:
+Over F2 the native kernel (``_native.walk_f2``) and the pure packed
+engine (``engine.run_walk`` with ``PackedF2Kernel``) run on the same
+packed terms; they follow one trajectory contract, so their best and
+final terms are asserted identical, and only the speed differs.  The
+exact walks (the generic engine over Q, the symmetric walk over F2 and
+F3) have one implementation each: every one runs twice, and the two runs
+are asserted identical.  Run from the repository root:
 
     python3 benchmarks/compare_backends.py [--steps N]
 
@@ -16,6 +18,8 @@ import time
 
 from mmrank.fields import F2, PrimeField, Q
 from mmrank.flipgraph import HAVE_COMPILED, SearchConfig, random_walk, symmetric_random_walk
+from mmrank.flipgraph import _native, packing
+from mmrank.flipgraph.engine import PackedF2Kernel, run_walk
 from mmrank.proof import naive_symmetric_form
 from mmrank.tensors import matmul_tensor, standard_decomposition
 
@@ -31,31 +35,33 @@ def timed(walk):
     return res, time.perf_counter() - t0
 
 
-def report(label: str, res, dt: float):
-    rate = res.steps / dt if dt > 0 else float("inf")
-    print(f"  {label:>8}: rank {res.rank:3d}  {res.steps} steps  "
+def report(label: str, rank: int, steps: int, dt: float):
+    rate = steps / dt if dt > 0 else float("inf")
+    print(f"  {label:>8}: rank {rank:3d}  {steps} steps  "
           f"{dt:8.3f}s  ({rate:,.0f} steps/s)")
 
 
 def run_case(n: int, seed: int, steps: int):
     target = matmul_tensor(n, F2)
-    start = standard_decomposition(n, F2)
+    terms = packing.pack_terms(standard_decomposition(n, F2))
     cfg = walk_config(seed, steps)
+    limits = dict(max_steps=cfg.max_steps, plus_budget=cfg.plus_budget, patience=cfg.patience,
+                  verify_every=cfg.verify_every)
 
-    results = {}
-    for backend in ("pure", "compiled") if HAVE_COMPILED else ("pure",):
-        res, dt = timed(lambda: random_walk(target, start, cfg, backend=backend))
-        results[backend] = (res, dt)
-        report(backend, res, dt)
-
-    if HAVE_COMPILED:
-        (rp, tp), (rc, tc) = results["pure"], results["compiled"]
-        assert (rp.rank, rp.steps) == (rc.rank, rc.steps), "backend trajectories diverged"
-        assert rp.decomposition.terms == rc.decomposition.terms
-        if tc > 0:
-            print(f"  speedup: {tp / tc:.1f}x; identical trajectories confirmed")
-    else:
+    pure, tp = timed(lambda: run_walk(PackedF2Kernel(n), terms, target.sparse(), seed=seed,
+                                      **limits))
+    report("pure", pure.best_rank, pure.steps, tp)
+    if not HAVE_COMPILED:
         print("  native kernel not loaded (MMRANK_NO_EXT set, or no C compiler)")
+        return
+    words = packing.int_to_words(packing.tensor_to_int(target), n**6)
+    (best, rank, n_steps, final, _trace), tc = timed(
+        lambda: _native.walk_f2(n, terms, words, seed, *limits.values(), -1, False))
+    report("compiled", rank, n_steps, tc)
+    assert (rank, n_steps) == (pure.best_rank, pure.steps), "backend trajectories diverged"
+    assert (tuple(best), tuple(final)) == (pure.best_terms, pure.final_terms)
+    if tc > 0:
+        print(f"  speedup: {tp / tc:.1f}x; identical trajectories confirmed")
 
 
 def run_exact_case(walk):
@@ -63,7 +69,7 @@ def run_exact_case(walk):
     (r1, t1), (r2, t2) = timed(walk), timed(walk)
     assert (r1.rank, r1.steps) == (r2.rank, r2.steps), "repeated walks diverged"
     assert r1.decomposition == r2.decomposition
-    report("best of 2", r1, min(t1, t2))
+    report("best of 2", r1.rank, r1.steps, min(t1, t2))
     print("  deterministic: both runs gave the same result")
 
 

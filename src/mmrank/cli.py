@@ -123,7 +123,10 @@ def cmd_replay_proof(args) -> int:
     final = "PASS" if report.final_ok else "FAIL"
     print(f"final {final}  rank<={report.final_rank_bound} against m2")
     out = args.out or f"rank7_{field.name}.txt"
-    write_decomposition_file(out, derivation.final)
+    try:
+        write_decomposition_file(out, derivation.final)
+    except OSError as exc:
+        return _fail_usage(f"cannot write {out}: {exc.strerror or exc}")
     print(f"wrote {out}")
     return ExitStatus.OK if report.passed else ExitStatus.MISMATCH
 
@@ -180,7 +183,10 @@ def cmd_search(args) -> int:
         result = search(target, start, cfg, workers=args.workers)
 
     out = args.out or f"search_m{n}_{field.name}_seed{args.seed}.txt"
-    write_decomposition_file(out, result.decomposition)
+    try:
+        write_decomposition_file(out, result.decomposition)
+    except OSError as exc:
+        return _fail_usage(f"cannot write {out}: {exc.strerror or exc}")
     summary = {
         "file": out,
         "rank": result.rank,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .fields import Field, parse_field
 from .symmetry import OrbitTerm, StabilizerTag, SymmetricDecomposition
-from .tensors import Decomposition, Matrix, RankOneTerm
+from .tensors import MAX_SIDE, Decomposition, Matrix, RankOneTerm
 
 ORBIT_FREE = "orbit=G"
 ORBIT_FIXED = "orbit=fixed"
@@ -82,6 +82,8 @@ def _parse_header(lines: list[str]):
     if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
         raise ParseError(f"line 3: expected 'n <side>', got {lines[2]!r}")
     n = int(parts[1])
+    if not 1 <= n <= MAX_SIDE:
+        raise ParseError(f"line 3: side must be in [1, {MAX_SIDE}], got {n}")
     parts = lines[3].split()
     if len(parts) != 2 or parts[0] != "mode" or parts[1] not in ("plain", "symmetric"):
         raise ParseError(f"line 4: expected 'mode plain|symmetric', got {lines[3]!r}")

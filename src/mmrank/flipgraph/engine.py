@@ -39,6 +39,11 @@ walk is a pure function of (terms, target, seed, limits):
   ``max_steps``, when a requested rank bound is reached, or when no move
   exists.  All randomness comes from one xoshiro256** stream.
 
+Each move is also a :class:`_Walk` method that applies it alone, with
+no reduction: ``_flip(i, j, s, o)``, ``_merge(a, b)`` for a given pair
+and ``_plus(t, s, a1)`` for a given split; ``_greedy_reduce`` merges
+through ``_merge``.
+
 Factors are plain Python values: packed ints over F2, tuples of raw
 scalars otherwise.  Over Q an integral scalar is an ``int`` and only a
 non-integral one a ``Fraction`` (see :class:`GenericKernel`); since equal
@@ -281,11 +286,17 @@ class _Walk:
                     y = pair % (m - 1)
                     if y >= x:
                         y += 1
-                    return self._apply_flip(g[x], g[y], s, o)
+                    self._flip(g[x], g[y], s, o)
+                    return self._greedy_reduce()
                 k -= c
         raise AssertionError("flip candidate index out of range")
 
-    def _apply_flip(self, i, j, s, o) -> bool:
+    def _flip(self, i, j, s, o):
+        """Flip terms i and j, which share their slot-s factor; no reduction.
+
+        A term left with a zero factor is swap-removed; the surviving
+        touched terms are the dirty set for the next greedy reduction.
+        """
         s1, s2 = _OTHER_SLOTS[s]
         oa, ob = (s1, s2) if o == 0 else (s2, s1)
         kern = self.k
@@ -305,7 +316,6 @@ class _Walk:
         self.dirty = {i, j} - set(removals)
         for x in sorted(removals, reverse=True):
             self._swap_remove(x)
-        return self._greedy_reduce()
 
     # -- reductions ----------------------------------------------------------
 
@@ -332,9 +342,29 @@ class _Walk:
                     ib += 1
         return best
 
+    def _merge(self, a, b):
+        """Merge term b into term a < b; they agree in at least two slots.
+
+        The remaining slot (slot 2 when all three agree) becomes the sum
+        in term a, which turns dirty; both terms go if the sum is zero.
+        """
+        kern = self.k
+        shared = [s for s in range(3) if self.fac[s][a] == self.fac[s][b]]
+        o = 2 if len(shared) == 3 else ({0, 1, 2} - set(shared)).pop()
+        merged = kern.add(self.fac[o][a], self.fac[o][b])
+        if self.trace is not None:
+            self.trace.append(("reduce", a, b, o))
+        if merged == kern.zero:
+            self._swap_remove(b)
+            self._swap_remove(a)
+        else:
+            self._set_factor(o, a, merged)
+            self._unforbid(a)
+            self._swap_remove(b)
+            self.dirty.add(a)
+
     def _greedy_reduce(self) -> bool:
         reduced = False
-        kern = self.k
         while self.dirty:
             t = min(self.dirty)
             self.dirty.discard(t)
@@ -343,20 +373,7 @@ class _Walk:
             j = self._min_partner(t)
             if j is None:
                 continue
-            a, b = (t, j) if t < j else (j, t)
-            shared = [s for s in range(3) if self.fac[s][a] == self.fac[s][b]]
-            o = 2 if len(shared) == 3 else ({0, 1, 2} - set(shared)).pop()
-            merged = kern.add(self.fac[o][a], self.fac[o][b])
-            if self.trace is not None:
-                self.trace.append(("reduce", a, b, o))
-            if merged == kern.zero:
-                self._swap_remove(b)
-                self._swap_remove(a)
-            else:
-                self._set_factor(o, a, merged)
-                self._unforbid(a)
-                self._swap_remove(b)
-                self.dirty.add(a)
+            self._merge(min(t, j), max(t, j))
             reduced = True
         return reduced
 
@@ -379,7 +396,18 @@ class _Walk:
         if a1 is None:
             self.plus_left = 0
             return False
-        a2 = kern.sub(a, a1)
+        self._plus(t, s, a1)
+        self._greedy_reduce()
+        self.plus_left -= 1
+        return True
+
+    def _plus(self, t, s, a1):
+        """Split term t's slot-s factor a into a1 + (a - a1); no reduction.
+
+        The second half becomes a new last term; the two halves are exempt
+        from merging with each other and are the dirty set.
+        """
+        a2 = self.k.sub(self.fac[s][t], a1)
         self._set_factor(s, t, a1)
         self._unforbid(t)
         new = self.T
@@ -392,9 +420,6 @@ class _Walk:
             self.trace.append(("plus", t, s))
         self.forbidden.add((t, new))
         self.dirty = {t, new}
-        self._greedy_reduce()
-        self.plus_left -= 1
-        return True
 
     # -- bookkeeping -------------------------------------------------------------
 

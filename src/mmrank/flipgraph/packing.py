@@ -47,12 +47,3 @@ def tensor_to_int(t: Tensor) -> int:
 def int_to_words(mask: int, bits: int) -> list[int]:
     """Little-endian 64-bit words; word w holds bits 64w .. 64w+63."""
     return [(mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range((bits + 63) // 64)]
-
-
-def reverse_mask(mask: int, n2: int) -> int:
-    """Bit i -> bit n2-1-i; the packed form of index reversal."""
-    out = 0
-    for pos in range(n2):
-        if (mask >> pos) & 1:
-            out |= 1 << (n2 - 1 - pos)
-    return out

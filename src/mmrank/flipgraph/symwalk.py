@@ -46,11 +46,10 @@ from ..symmetry import (
     expand_symmetric,
 )
 from ..tensors import Matrix, RankOneTerm, Tensor
-from .engine import GenericKernel
+from .engine import _OTHER_SLOTS, GenericKernel, SoundnessError
 from .walk import MASK64, SearchConfig, best_of_restarts
 
 _SLOTS = (0, 1, 2)
-_OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
 
 
 class SymmetricSearchResult:
@@ -279,7 +278,7 @@ class _SymWalk:
     def _verify(self):
         sd = self._decomposition((imgs[0], t) for imgs, t in zip(self.images, self.tags))
         if expand_symmetric(sd) != self.target:
-            raise AssertionError("symmetric walk state no longer expands to the target")
+            raise SoundnessError("symmetric walk state no longer expands to the target")
 
     def run(self) -> SymmetricSearchResult:
         cfg = self.cfg
@@ -314,7 +313,7 @@ class _SymWalk:
         self._verify()
         best = self._decomposition(self.best)
         if expand_symmetric(best) != self.target:
-            raise AssertionError("symmetric walk best state fails verification")
+            raise SoundnessError("symmetric walk best state fails verification")
         return SymmetricSearchResult(best, self.best_rank, steps, cfg.seed & MASK64)
 
 

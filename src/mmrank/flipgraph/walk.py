@@ -60,16 +60,17 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """``trace`` holds the walk's move records when it was collected."""
+
     decomposition: Decomposition
     rank: int
     steps: int
     seed: int
+    trace: list | None = None
 
 
-def _kernel_for(field: Field, n: int, backend: str):
-    if field == F2 and backend != "generic":
-        return PackedF2Kernel(n)
-    return GenericKernel(field, n)
+def _kernel_for(field: Field, n: int):
+    return PackedF2Kernel(n) if field == F2 else GenericKernel(field, n)
 
 
 def _to_kernel_terms(kernel, dec: Decomposition):
@@ -89,43 +90,31 @@ def _from_kernel_terms(kernel, field: Field, n: int, terms) -> tuple[RankOneTerm
 
 
 def random_walk(target: Tensor, start: Decomposition, cfg: SearchConfig,
-                backend: str = "auto", collect_trace: bool = False) -> SearchResult:
+                collect_trace: bool = False) -> SearchResult:
     """One deterministic walk; the returned best state always verifies.
 
-    ``backend`` is a diagnostic knob ("auto", "compiled", "pure",
-    "generic"); every backend follows the same trajectory contract, so it
-    never changes the result, only the speed.
+    With ``collect_trace`` the result's ``trace`` lists the moves made.
     """
     if start.n != target.n or start.field != target.field:
         raise ValueError("start decomposition and target have different shape or field")
     pre = verify(start, target)
     if not pre.ok:
         raise ValueError("start decomposition does not expand to the target")
-    if backend not in ("auto", "compiled", "pure", "generic"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and not HAVE_COMPILED:
-        raise RuntimeError("compiled kernel is not available")
 
     field, n = start.field, start.n
     seed = cfg.seed & MASK64
-    use_compiled = (
-        field == F2
-        and backend in ("auto", "compiled")
-        and HAVE_COMPILED
-    )
-    if use_compiled:
+    if field == F2 and HAVE_COMPILED:
         packed = packing.pack_terms(start)
         target_words = packing.int_to_words(packing.tensor_to_int(target), n**6)
-        best_terms, best_rank, steps, _final, _trace = _walk_ext.walk_f2(
+        best_terms, best_rank, steps, _final, trace = _walk_ext.walk_f2(
             n, packed, target_words, seed, cfg.max_steps, cfg.plus_budget,
             cfg.patience, cfg.verify_every,
             -1 if cfg.target_rank is None else cfg.target_rank,
             collect_trace,
         )
         terms = packing.unpack_terms(n, best_terms)
-        outcome_trace = _trace
     else:
-        kernel = _kernel_for(field, n, backend)
+        kernel = _kernel_for(field, n)
         outcome = run_walk(
             kernel,
             _to_kernel_terms(kernel, start),
@@ -140,33 +129,30 @@ def random_walk(target: Tensor, start: Decomposition, cfg: SearchConfig,
         )
         best_terms, best_rank, steps = outcome.best_terms, outcome.best_rank, outcome.steps
         terms = _from_kernel_terms(kernel, field, n, best_terms)
-        outcome_trace = outcome.trace
+        trace = outcome.trace
 
     best = Decomposition(n, field, terms)
     post = verify(best, target)
     if not post.ok:
         raise AssertionError("search returned a decomposition that fails verification")
-    result = SearchResult(best, best_rank, steps, seed)
-    if collect_trace:
-        return result, outcome_trace
-    return result
+    return SearchResult(best, best_rank, steps, seed, trace)
 
 
 def _one_restart(args):
-    walk, target, start, cfg, k, options = args
+    walk, target, start, cfg, k = args
     sub = replace(cfg, seed=(cfg.seed + k) & MASK64, restarts=1)
-    return walk(target, start, sub, **options)
+    return walk(target, start, sub)
 
 
-def best_of_restarts(walk, target, start, cfg: SearchConfig, workers: int = 1, **options):
+def best_of_restarts(walk, target, start, cfg: SearchConfig, workers: int = 1):
     """Best of cfg.restarts runs of ``walk``; restart k uses seed + k.
 
-    ``walk(target, start, cfg, **options)`` must be a module-level
+    ``walk(target, start, cfg)`` must be a module-level
     function (pool workers receive it by name) returning a result with a
     ``rank``.  Results merge by (rank, restart index), so the answer is
     identical for any worker count.
     """
-    jobs = [(walk, target, start, cfg, k, options) for k in range(cfg.restarts)]
+    jobs = [(walk, target, start, cfg, k) for k in range(cfg.restarts)]
     if workers > 1 and cfg.restarts > 1:
         with ProcessPoolExecutor(max_workers=min(workers, cfg.restarts)) as pool:
             results = list(pool.map(_one_restart, jobs))
@@ -176,6 +162,6 @@ def best_of_restarts(walk, target, start, cfg: SearchConfig, workers: int = 1, *
 
 
 def search(target: Tensor, start: Decomposition, cfg: SearchConfig,
-           workers: int = 1, backend: str = "auto") -> SearchResult:
+           workers: int = 1) -> SearchResult:
     """Best result over cfg.restarts walks (see :func:`best_of_restarts`)."""
-    return best_of_restarts(random_walk, target, start, cfg, workers, backend=backend)
+    return best_of_restarts(random_walk, target, start, cfg, workers)

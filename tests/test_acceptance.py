@@ -137,9 +137,9 @@ def test_criterion_6_move_soundness_fuzz():
     cfg = SearchConfig(
         seed=2024, max_steps=100_000, plus_budget=100_000, patience=40, verify_every=1
     )
-    res, trace = random_walk(m2, start, cfg, collect_trace=True)
+    res = random_walk(m2, start, cfg, collect_trace=True)
     assert res.steps == 100_000
-    kinds = {k for (k, *_r) in trace}
+    kinds = {k for (k, *_r) in res.trace}
     assert kinds == {"flip", "reduce", "plus"}
     assert verify(res.decomposition, m2).ok
     _report(6, t0, 60.0, "100000 verified-after-every-move walk moves, zero violations")

@@ -319,6 +319,31 @@ def test_out_of_range_argument_is_usage_error(argv, tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in tmp_path.iterdir()) == ["seven.txt"]  # no search output
 
 
+@pytest.mark.parametrize("side", [0, 7])
+@pytest.mark.parametrize("command", [
+    ["verify"], ["compile"], ["bench", "--depth", "1"], ["search", "--start"],
+], ids=lambda c: c[0])
+def test_header_side_out_of_range_is_usage_error(command, side, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text(f"version 1\nfield F2\nn {side}\nmode plain\n")
+    code, out, err = run_cli([*command, "bad.txt"], capsys)
+    assert code == 2
+    assert err.startswith("error: line 3: ") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--max-steps", "10"],
+    ["replay-proof", "--field", "F2"],
+], ids=lambda a: a[0])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.txt"
+    code, _out, err = run_cli([*argv, "--out", str(missing)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}") and "Traceback" not in err
+    assert not missing.parent.exists()
+
+
 # -- process-level smoke -----------------------------------------------------------------
 
 

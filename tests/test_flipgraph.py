@@ -3,17 +3,9 @@ import random
 import pytest
 
 from mmrank.fields import F2, PrimeField, Q
-from mmrank.flipgraph import (
-    MoveRejected,
-    SearchConfig,
-    SearchState,
-    find_reductions,
-    flip,
-    plus_move,
-    random_walk,
-    reduce,
-    search,
-)
+from mmrank.flipgraph import SearchConfig, SearchResult, _native, packing, random_walk, search
+from mmrank.flipgraph.engine import _OTHER_SLOTS, GenericKernel, PackedF2Kernel, _Walk, run_walk
+from mmrank.flipgraph.walk import _from_kernel_terms, _kernel_for, _to_kernel_terms
 from mmrank.proof import rank7_symmetric_form
 from mmrank.symmetry import flatten
 from mmrank.tensors import (
@@ -33,17 +25,59 @@ def rand_matrix(field, n, rnd):
     return Matrix(field, n, [rnd.randrange(field.characteristic) for _ in range(n * n)])
 
 
-def rand_state(field, n, terms, rnd):
-    dec = Decomposition(
-        n,
-        field,
-        tuple(
-            RankOneTerm(*(rand_matrix(field, n, rnd) for _ in range(3)))
-            for _ in range(terms)
-        ),
-    )
-    target = expand_decomposition(dec)
-    return SearchState(dec, target)
+def rand_nonzero(field, n, rnd):
+    while True:
+        m = rand_matrix(field, n, rnd)
+        if not m.is_zero:
+            return m
+
+
+def rand_dec(field, n, terms, rnd):
+    return Decomposition(n, field, tuple(
+        RankOneTerm(*(rand_nonzero(field, n, rnd) for _ in range(3))) for _ in range(terms)
+    ))
+
+
+def pool_dec(field, n, terms, rnd, pool=3):
+    """Random terms whose factors come from a few matrices per slot, so many are shared."""
+    pools = [[rand_nonzero(field, n, rnd) for _ in range(pool)] for _ in range(3)]
+    return Decomposition(n, field, tuple(
+        RankOneTerm(*(rnd.choice(p) for p in pools)) for _ in range(terms)
+    ))
+
+
+def make_walk(dec, target=None):
+    """Walk state on ``dec`` (packed over F2, generic elsewhere); no move made yet."""
+    kernel = _kernel_for(dec.field, dec.n)
+    target = expand_decomposition(dec) if target is None else target
+    return _Walk(kernel, _to_kernel_terms(kernel, dec), target.sparse(), seed=0, max_steps=1,
+                 plus_budget=0, patience=0, verify_every=0, target_rank=None,
+                 collect_trace=False)
+
+
+def terms_of(w):
+    field = getattr(w.k, "field", F2)  # a PackedF2Kernel works over F2 only
+    return _from_kernel_terms(w.k, field, w.k.n, list(zip(*w.fac)))
+
+
+def kernel_factor(w, m):
+    if isinstance(w.k, PackedF2Kernel):
+        return packing.matrix_to_mask(m)
+    return w.k.lift(m.entries)
+
+
+def orientation(s, absorb):
+    """The flip orientation in which slot ``absorb`` of the first term gains."""
+    return 0 if absorb == _OTHER_SLOTS[s][0] else 1
+
+
+def shared_slot_pairs(w):
+    return [(i, j, s) for i in range(w.T) for j in range(w.T) if i != j
+            for s in range(3) if w.fac[s][i] == w.fac[s][j]]
+
+
+def agreements(w, a, b):
+    return sum(w.fac[s][a] == w.fac[s][b] for s in range(3))
 
 
 # -- single moves -----------------------------------------------------------------
@@ -52,42 +86,30 @@ def rand_state(field, n, terms, rnd):
 def test_flip_preserves_expansion_on_random_states():
     rnd = random.Random(0)
     done = 0
-    while done < 40:
-        st = rand_state(F2, 2, 6, rnd)
-        pairs = [
-            (i, j, s)
-            for i in range(len(st.terms))
-            for j in range(len(st.terms))
-            if i != j
-            for s in range(3)
-            if st.terms[i].factors[s] == st.terms[j].factors[s]
-        ]
+    while done < 80:
+        w = make_walk(rand_dec((F2, F3)[done % 2], 2, 6, rnd))
+        pairs = shared_slot_pairs(w)
         if not pairs:
             continue
-        i, j, s = pairs[rnd.randrange(len(pairs))]
-        absorb = rnd.choice([x for x in range(3) if x != s])
-        flip(st, i, j, s, absorb)
-        st.check()  # expansion unchanged
+        w._flip(*pairs[rnd.randrange(len(pairs))], rnd.randrange(2))
+        w._verify_now()  # expansion unchanged
         done += 1
 
 
 def test_flip_example_shapes():
     # (a,b,c) + (a,b',c') -> (a, b+b', c) + (a, b', c'-c)
     rnd = random.Random(1)
-    st = None
-    while st is None:
-        cand = rand_state(F3, 2, 2, rnd)
-        if len(cand.terms) != 2:
-            continue
-        t0, t1 = cand.terms
+    while True:
+        dec = rand_dec(F3, 2, 2, rnd)
+        t0, t1 = dec.terms
         if t0.u == t1.u and not (t0.v + t1.v).is_zero and not (t1.w - t0.w).is_zero:
-            st = cand
-    a, b, c = st.terms[0].factors
-    _, bp, cp = st.terms[1].factors
-    flip(st, 0, 1, 0, 1)
-    assert st.terms[0] == RankOneTerm(a, b + bp, c)
-    assert st.terms[1] == RankOneTerm(a, bp, cp - c)
-    st.check()
+            break
+    w = make_walk(dec)
+    a, b, c = t0.factors
+    _, bp, cp = t1.factors
+    w._flip(0, 1, 0, orientation(0, absorb=1))
+    assert terms_of(w) == (RankOneTerm(a, b + bp, c), RankOneTerm(a, bp, cp - c))
+    w._verify_now()
 
 
 def test_flip_zeroing_a_factor_drops_the_term():
@@ -97,33 +119,29 @@ def test_flip_zeroing_a_factor_drops_the_term():
     b1 = Matrix.from_rows(f, [[0, 1], [0, 0]])
     b2 = Matrix.from_rows(f, [[0, 0], [1, 0]])
     c = Matrix.from_rows(f, [[1, 2], [3, 4]])
-    dec = Decomposition(2, f, (RankOneTerm(a, b1, c), RankOneTerm(a, b2, c)))
-    st = SearchState(dec, expand_decomposition(dec))
-    flip(st, 0, 1, 0, 1)
-    assert st.rank_bound == 1
-    st.check()
+    w = make_walk(Decomposition(2, f, (RankOneTerm(a, b1, c), RankOneTerm(a, b2, c))))
+    w._flip(0, 1, 0, orientation(0, absorb=1))
+    assert w.T == 1
+    assert terms_of(w) == (RankOneTerm(a, b1 + b2, c),)
+    w._verify_now()
 
 
-def test_flip_rejects_bad_preconditions():
+def test_flip_candidates_are_the_pairs_sharing_a_slot():
+    # The walk flips only candidates it enumerates from the factor groups;
+    # each is a pair of distinct terms sharing the slot, both orientations.
     rnd = random.Random(2)
-    st = rand_state(F3, 2, 4, rnd)
-    before = list(st.terms)
-    with pytest.raises(MoveRejected):
-        flip(st, 0, 0, 0, 1)
-    with pytest.raises(MoveRejected):
-        flip(st, 0, 99, 0, 1)
-    with pytest.raises(MoveRejected):
-        flip(st, 0, 1, 2, 2)
-    # find a genuinely non-shared slot
-    for i in range(len(st.terms)):
-        for j in range(len(st.terms)):
-            if i != j:
-                for s in range(3):
-                    if st.terms[i].factors[s] != st.terms[j].factors[s]:
-                        with pytest.raises(MoveRejected):
-                            flip(st, i, j, s, (s + 1) % 3)
-                        assert st.terms == before
-                        return
+    for trial in range(40):
+        w = make_walk(pool_dec((F2, F3)[trial % 2], 2, 8, rnd))
+        for s in range(3):
+            for _key, val in w.active[s]:
+                members = w.groups[s][val]
+                assert len(members) >= 2 and all(w.fac[s][t] == val for t in members)
+        picked = []
+        w._flip = lambda i, j, s, o: picked.append((i, j, s, o))
+        for k in range(w._count_candidates()):
+            assert w._apply_flip_at(k) is False  # nothing dirty, nothing reduced
+        expected = [(i, j, s, o) for (i, j, s) in shared_slot_pairs(w) for o in (0, 1)]
+        assert expected and sorted(picked) == sorted(expected)
 
 
 def test_reduce_merges_and_cancels():
@@ -132,12 +150,11 @@ def test_reduce_merges_and_cancels():
     b = Matrix.from_rows(f, [[0, 1], [0, 0]])
     c1 = Matrix.from_rows(f, [[1, 1], [0, 2]])
     c2 = Matrix.from_rows(f, [[0, 1], [1, 0]])
-    dec = Decomposition(2, f, (RankOneTerm(a, b, c1), RankOneTerm(a, b, c2)))
-    st = SearchState(dec, expand_decomposition(dec))
-    reduce(st, 0, 1)
-    assert st.rank_bound == 1
-    assert st.terms[0] == RankOneTerm(a, b, c1 + c2)
-    st.check()
+    w = make_walk(Decomposition(2, f, (RankOneTerm(a, b, c1), RankOneTerm(a, b, c2))))
+    w._merge(0, 1)
+    assert w.T == 1
+    assert terms_of(w) == (RankOneTerm(a, b, c1 + c2),)
+    w._verify_now()
 
     dec2 = Decomposition(2, Q, (
         RankOneTerm(
@@ -151,10 +168,10 @@ def test_reduce_merges_and_cancels():
             Matrix.from_rows(Q, [[-1, -2], [-3, -4]]),
         ),
     ))
-    st2 = SearchState(dec2, expand_decomposition(dec2))
-    reduce(st2, 0, 1)
-    assert st2.rank_bound == 0
-    st2.check()
+    w2 = make_walk(dec2)
+    w2._merge(0, 1)
+    assert w2.T == 0
+    w2._verify_now()
 
 
 def test_reduce_identical_terms_over_f2_cancels():
@@ -163,66 +180,81 @@ def test_reduce_identical_terms_over_f2_cancels():
     b = Matrix.from_rows(f, [[0, 1], [1, 0]])
     c = Matrix.from_rows(f, [[1, 1], [0, 1]])
     t = RankOneTerm(a, b, c)
-    dec = Decomposition(2, f, (t, t))
-    st = SearchState(dec, expand_decomposition(dec))
-    reduce(st, 0, 1)
-    assert st.rank_bound == 0
-    st.check()
+    w = make_walk(Decomposition(2, f, (t, t)))
+    w._merge(0, 1)
+    assert w.T == 0
+    w._verify_now()
 
 
-def test_reduce_rejects_single_shared_slot():
+def test_min_partner_is_the_first_term_agreeing_in_two_slots():
+    # The walk merges only the partner _min_partner names: the smallest
+    # other index agreeing in at least two slots, outside the forbidden pairs.
     rnd = random.Random(3)
-    st = rand_state(F3, 2, 3, rnd)
-    for i in range(len(st.terms)):
-        for j in range(len(st.terms)):
-            if i != j:
-                shared = sum(
-                    st.terms[i].factors[s] == st.terms[j].factors[s] for s in range(3)
-                )
-                if shared < 2:
-                    with pytest.raises(MoveRejected):
-                        reduce(st, i, j)
-                    return
+    found = 0
+    for trial in range(40):
+        w = make_walk(pool_dec((F2, F3)[trial % 2], 2, 8, rnd))
+        w.forbidden.add((0, 1))  # as if a plus move had just split them
+        for t in range(w.T):
+            agree = [j for j in range(w.T) if j != t and agreements(w, t, j) >= 2
+                     and (min(t, j), max(t, j)) not in w.forbidden]
+            assert w._min_partner(t) == (min(agree) if agree else None)
+            found += bool(agree)
+    assert found
 
 
-def test_plus_move_splits_and_sweeps_zero_parts():
+def test_plus_splits_a_factor_into_one_more_term():
     rnd = random.Random(4)
-    st = rand_state(F3, 2, 3, rnd)
-    t0 = st.terms[0]
-    split1 = rand_matrix(F3, 2, rnd)
-    split2 = t0.factors[1] - split1
-    rank = st.rank_bound
-    plus_move(st, 0, 1, split1, split2)
-    st.check()
-    if split1.is_zero or split2.is_zero:
-        assert st.rank_bound == rank
-    else:
-        assert st.rank_bound == rank + 1
-
-    # zero part is legal but useless
-    st2 = rand_state(F3, 2, 2, rnd)
-    t = st2.terms[0]
-    rank2 = st2.rank_bound
-    plus_move(st2, 0, 2, t.factors[2], Matrix.zero(F3, 2))
-    assert st2.rank_bound == rank2
-    st2.check()
+    w = make_walk(rand_dec(F3, 2, 3, rnd))
+    u, v, c = terms_of(w)[0].factors
+    while True:
+        split1 = rand_matrix(F3, 2, rnd)
+        split2 = v - split1
+        if not split1.is_zero and not split2.is_zero:
+            break
+    rank = w.T
+    w._plus(0, 1, kernel_factor(w, split1))
+    w._verify_now()
+    assert w.T == rank + 1
+    terms = terms_of(w)
+    assert (terms[0], terms[-1]) == (RankOneTerm(u, split1, c), RankOneTerm(u, split2, c))
+    assert (0, rank) in w.forbidden and w.dirty == {0, rank}
 
 
-def test_plus_move_rejects_bad_split():
+def test_try_plus_halves_sum_to_the_split_factor():
+    # The walk draws its own splits: both halves nonzero, summing to the factor.
     rnd = random.Random(5)
-    st = rand_state(F3, 2, 2, rnd)
-    good = st.terms[0].factors[0]
-    with pytest.raises(MoveRejected):
-        plus_move(st, 0, 0, good, good)  # sums to 2*good, not good (over F3)
+    for field in (F2, F3):
+        w = make_walk(rand_dec(field, 2, 4, rnd))
+        w.plus_left = 30
+        splits = []
+        plus = w._plus
+
+        def spy(t, s, a1):
+            a = w.fac[s][t]
+            plus(t, s, a1)
+            new = w.T - 1
+            splits.append((a, s, w.fac[s][t], w.fac[s][new],
+                           [w.fac[x][t] == w.fac[x][new] for x in range(3)]))
+
+        w._plus = spy
+        while w.plus_left:
+            assert w._try_plus()
+            w._verify_now()
+        assert len(splits) == 30
+        for a, s, first, second, same in splits:
+            assert w.k.add(first, second) == a
+            assert w.k.zero not in (first, second)
+            assert all(same[x] for x in range(3) if x != s)
 
 
-def test_find_reductions_examples():
+def reduction_pairs(w):
+    return {(min(t, p), max(t, p)) for t in range(w.T) if (p := w._min_partner(t)) is not None}
+
+
+def test_min_partner_examples():
     m2q = matmul_tensor(2, Q)
-    st = SearchState(flatten(rank7_symmetric_form(Q)), m2q)
-    assert find_reductions(st) == []
-
-    st8 = SearchState(standard_decomposition(2, Q), m2q)
-    assert find_reductions(st8) == []
+    assert reduction_pairs(make_walk(flatten(rank7_symmetric_form(Q)), m2q)) == set()
+    assert reduction_pairs(make_walk(standard_decomposition(2, Q), m2q)) == set()
 
     f = F3
     a = Matrix.from_rows(f, [[1, 0], [0, 0]])
@@ -230,38 +262,96 @@ def test_find_reductions_examples():
     c1 = Matrix.from_rows(f, [[1, 1], [0, 2]])
     c2 = Matrix.from_rows(f, [[0, 1], [1, 0]])
     c3 = Matrix.from_rows(f, [[2, 1], [1, 0]])
-    dec = Decomposition(2, f, (
+    w3 = make_walk(Decomposition(2, f, (
         RankOneTerm(a, b, c1),
         RankOneTerm(c2, c3, c1),
         RankOneTerm(a, b, c2),
-    ))
-    st3 = SearchState(dec, expand_decomposition(dec))
-    assert find_reductions(st3) == [(0, 2)]
+    )))
+    assert [w3._min_partner(t) for t in range(3)] == [2, None, 0]
+    assert reduction_pairs(w3) == {(0, 2)}
+
+
+def rebuilt_groups(w):
+    """From-scratch factor groups and active keys, to check the maintained ones."""
+    groups = ({}, {}, {})
+    for s in range(3):
+        for t, val in enumerate(w.fac[s]):
+            groups[s].setdefault(val, []).append(t)
+    active = tuple(
+        sorted((w.k.key(val), val) for val, g in groups[s].items() if len(g) >= 2)
+        for s in range(3)
+    )
+    return groups, active
 
 
 def test_index_consistency_after_moves():
-    rnd = random.Random(6)
-    st = rand_state(F2, 2, 8, rnd)
-    ops = 0
-    while ops < 60:
+    # the factor groups and active keys the walk maintains equal a rebuild
+    for field in (F2, F3):
+        check_groups_after_random_moves(field, random.Random(6))
+
+
+def check_groups_after_random_moves(field, rnd):
+    w = make_walk(pool_dec(field, 2, 8, rnd))
+    w.dirty = set(range(w.T))
+    w._greedy_reduce()
+    kinds = []
+    for _ in range(600):
         kind = rnd.randrange(3)
-        try:
-            if kind == 0:
-                i, j = rnd.randrange(st.rank_bound), rnd.randrange(st.rank_bound)
-                flip(st, i, j, rnd.randrange(3), rnd.randrange(3))
-            elif kind == 1:
-                i, j = rnd.randrange(st.rank_bound), rnd.randrange(st.rank_bound)
-                reduce(st, i, j)
-            else:
-                i = rnd.randrange(st.rank_bound)
-                s = rnd.randrange(3)
-                m1 = rand_matrix(F2, 2, rnd)
-                plus_move(st, i, s, m1, st.terms[i].factors[s] - m1)
-        except MoveRejected:
-            continue
-        ops += 1
-        assert st.indexes == st.rebuilt_indexes()
-        st.check()
+        if kind == 0:
+            pairs = shared_slot_pairs(w)
+            if not pairs:
+                continue
+            w._flip(*rnd.choice(pairs), rnd.randrange(2))
+        elif kind == 1:
+            pairs = [(a, b) for a in range(w.T) for b in range(a + 1, w.T)
+                     if agreements(w, a, b) >= 2]
+            if not pairs:
+                continue
+            w._merge(*rnd.choice(pairs))
+        else:
+            if w.T == 0:
+                continue
+            t, s = rnd.randrange(w.T), rnd.randrange(3)
+            a1 = kernel_factor(w, rand_nonzero(field, 2, rnd))
+            if a1 == w.fac[s][t]:
+                continue
+            w._plus(t, s, a1)
+        w._greedy_reduce()
+        kinds.append(kind)
+        assert all(len(f) == w.T for f in w.fac)
+        assert (w.groups, w.active) == rebuilt_groups(w)
+        assert not w.dirty and all(max(p) < w.T for p in w.forbidden)
+        # greedy reduction left no mergeable pair but the split halves
+        assert all(agreements(w, a, b) < 2 or (a, b) in w.forbidden
+                   for a in range(w.T) for b in range(a + 1, w.T))
+        w._verify_now()
+    assert all(kinds.count(k) >= 20 for k in range(3)), [kinds.count(k) for k in range(3)]
+
+
+def test_rank_monotonicity_of_moves():
+    rnd = random.Random(17)
+    w = make_walk(pool_dec(F3, 2, 6, rnd))
+    n0 = w.T
+    terms = terms_of(w)
+    flipped = False
+    for i, j, s in shared_slot_pairs(w):
+        ti, tj = terms[i].factors, terms[j].factors
+        zero_risk = any((ti[o] + tj[o]).is_zero or (tj[o] - ti[o]).is_zero
+                        for o in _OTHER_SLOTS[s])
+        if not zero_risk:
+            w._flip(i, j, s, 0)
+            assert w.T == n0  # flips preserve term count
+            flipped = True
+            break
+    assert flipped
+    t = terms_of(w)[0]
+    m1 = rand_nonzero(F3, 2, rnd)
+    while (t.factors[0] - m1).is_zero:
+        m1 = rand_nonzero(F3, 2, rnd)
+    before = w.T
+    w._plus(0, 0, kernel_factor(w, m1))
+    assert w.T == before + 1  # plus adds exactly one term
+    w._verify_now()
 
 
 # -- walks ---------------------------------------------------------------------------
@@ -315,26 +405,42 @@ def test_walk_reaches_rank_7_over_f2():
     assert res.rank <= 7
 
 
+def outcome_record(kernel, field, n, out):
+    """Everything a walk outcome pins down, with its terms as ``RankOneTerm``s."""
+    return (out.trace, out.best_rank, out.steps,
+            _from_kernel_terms(kernel, field, n, out.best_terms),
+            _from_kernel_terms(kernel, field, n, out.final_terms))
+
+
 def test_generic_engine_matches_packed_on_f2():
     m2 = matmul_tensor(2, F2)
     start = standard_decomposition(2, F2)
     for seed in (1, 2, 3):
-        cfg = SearchConfig(seed=seed, max_steps=2500, plus_budget=4)
-        rp, tp = random_walk(m2, start, cfg, backend="pure", collect_trace=True)
-        rg, tg = random_walk(m2, start, cfg, backend="generic", collect_trace=True)
-        assert tp == tg
-        assert (rp.rank, rp.steps) == (rg.rank, rg.steps)
-        assert rp.decomposition.terms == rg.decomposition.terms
+        packed, generic = (
+            outcome_record(kernel, F2, 2, run_walk(
+                kernel, _to_kernel_terms(kernel, start), m2.sparse(), seed=seed,
+                max_steps=2500, plus_budget=4, collect_trace=True))
+            for kernel in (PackedF2Kernel(2), GenericKernel(F2, 2))
+        )
+        assert packed == generic
 
 
 def assert_backends_agree(target, start, cfg):
-    """The native and pure walks give one trace, rank, step count and scheme."""
-    rc, tc = random_walk(target, start, cfg, backend="compiled", collect_trace=True)
-    rp, tp = random_walk(target, start, cfg, backend="pure", collect_trace=True)
-    assert tc == tp
-    assert (rc.rank, rc.steps) == (rp.rank, rp.steps)
-    assert rc.decomposition.terms == rp.decomposition.terms
-    return rp, tp
+    """The native and pure walks give one trace, rank, step count, best and final terms."""
+    n = start.n
+    terms = packing.pack_terms(start)
+    words = packing.int_to_words(packing.tensor_to_int(target), n**6)
+    limits = dict(max_steps=cfg.max_steps, plus_budget=cfg.plus_budget, patience=cfg.patience,
+                  verify_every=cfg.verify_every)
+    best, best_rank, steps, final, trace = _native.walk_f2(
+        n, terms, words, cfg.seed, *limits.values(),
+        -1 if cfg.target_rank is None else cfg.target_rank, True)
+    pure = run_walk(PackedF2Kernel(n), terms, target.sparse(), seed=cfg.seed,
+                    target_rank=cfg.target_rank, collect_trace=True, **limits)
+    assert trace == pure.trace
+    assert (best_rank, steps) == (pure.best_rank, pure.steps)
+    assert (tuple(best), tuple(final)) == (pure.best_terms, pure.final_terms)
+    return pure
 
 
 def test_compiled_engine_matches_pure(native):
@@ -345,14 +451,14 @@ def test_compiled_engine_matches_pure(native):
         assert_backends_agree(m2, start, cfg)
 
 
-def test_compiled_engine_matches_pure_under_frequent_plus_moves(native):
+def test_compiled_engine_matches_pure_under_frequent_splits(native):
     # plus moves every few flips: splits, forbidden pairs and removals interleave
     for n in (2, 3):
         target = matmul_tensor(n, F2)
         start = standard_decomposition(n, F2)
         for seed in range(1, 6):
             cfg = SearchConfig(seed=seed, max_steps=2000, plus_budget=2000, patience=5)
-            assert assert_backends_agree(target, start, cfg)[0].steps == 2000
+            assert assert_backends_agree(target, start, cfg).steps == 2000
 
 
 def test_compiled_engine_matches_pure_on_m3(native):
@@ -369,22 +475,22 @@ def test_compiled_engine_matches_pure_across_words(native, n, steps):
     start = standard_decomposition(n, F2)
     cfg = SearchConfig(seed=n, max_steps=steps, plus_budget=steps, patience=50,
                        verify_every=100)
-    res, trace = assert_backends_agree(target, start, cfg)
+    res = assert_backends_agree(target, start, cfg)
     assert res.steps == steps
-    assert {k for (k, *_r) in trace} == {"flip", "reduce", "plus"}
+    assert {k for (k, *_r) in res.trace} == {"flip", "reduce", "plus"}
 
 
 def test_compiled_engine_matches_pure_verifying_every_step(native):
     m3 = matmul_tensor(3, F2)
     cfg = SearchConfig(seed=3, max_steps=1500, plus_budget=100, patience=40, verify_every=1)
-    assert assert_backends_agree(m3, standard_decomposition(3, F2), cfg)[0].steps == 1500
+    assert assert_backends_agree(m3, standard_decomposition(3, F2), cfg).steps == 1500
 
 
 def test_compiled_engine_matches_pure_stopping_at_target_rank(native):
     m3 = matmul_tensor(3, F2)
     cfg = SearchConfig(seed=5, max_steps=100_000, plus_budget=1000, target_rank=25)
-    res, _trace = assert_backends_agree(m3, standard_decomposition(3, F2), cfg)
-    assert res.rank <= 25 and res.steps < 100_000
+    res = assert_backends_agree(m3, standard_decomposition(3, F2), cfg)
+    assert res.best_rank <= 25 and res.steps < 100_000
 
 
 def test_compiled_engine_matches_pure_running_out_of_moves(native):
@@ -395,7 +501,7 @@ def test_compiled_engine_matches_pure_running_out_of_moves(native):
         terms[1] = RankOneTerm(terms[0].u, terms[1].v, terms[1].w)
         dec = Decomposition(2, F2, tuple(terms))
         cfg = SearchConfig(seed=1, max_steps=1000, plus_budget=0)
-        res, _trace = assert_backends_agree(expand_decomposition(dec), dec, cfg)
+        res = assert_backends_agree(expand_decomposition(dec), dec, cfg)
         assert 0 < res.steps < 1000
 
 
@@ -405,7 +511,7 @@ def test_compiled_engine_matches_pure_from_zero_factors(native):
     dec = Decomposition(2, F2, (RankOneTerm(z, z, z), *std[:4], RankOneTerm(std[0].u, z, std[1].w),
                                 *std[4:]))
     cfg = SearchConfig(seed=9, max_steps=2000, plus_budget=5)
-    res, _trace = assert_backends_agree(matmul_tensor(2, F2), dec, cfg)
+    res = assert_backends_agree(matmul_tensor(2, F2), dec, cfg)
     assert res.steps == 2000
 
 
@@ -434,9 +540,21 @@ def test_trace_mixes_move_kinds():
     m2 = matmul_tensor(2, F2)
     start = standard_decomposition(2, F2)
     cfg = SearchConfig(seed=5, max_steps=5000, plus_budget=5000, patience=40)
-    _res, trace = random_walk(m2, start, cfg, collect_trace=True)
-    kinds = {k for (k, *_rest) in trace}
+    res = random_walk(m2, start, cfg, collect_trace=True)
+    kinds = {k for (k, *_rest) in res.trace}
     assert kinds == {"flip", "reduce", "plus"}
+
+
+def test_collected_trace_is_a_field_of_the_result():
+    cfg = SearchConfig(seed=3, max_steps=300, plus_budget=5, patience=40)
+    for field in (F2, F3):
+        m2, start = matmul_tensor(2, field), standard_decomposition(2, field)
+        traced = random_walk(m2, start, cfg, collect_trace=True)
+        plain = random_walk(m2, start, cfg)
+        assert type(traced) is SearchResult and type(plain) is SearchResult
+        assert traced.trace and plain.trace is None
+        assert (traced.rank, traced.steps, traced.decomposition) == (
+            plain.rank, plain.steps, plain.decomposition)
 
 
 def test_zero_factor_terms_are_swept_at_construction():
@@ -447,9 +565,9 @@ def test_zero_factor_terms_are_swept_at_construction():
     dead = RankOneTerm(e00, z, e11)
     dec = Decomposition(2, F2, (live, dead, live))
     target = expand_decomposition(dec)
-    st = SearchState(dec, target)
-    assert st.rank_bound == 2
-    assert all(not any(m.is_zero for m in t.factors) for t in st.terms)
+    w = make_walk(dec, target)
+    assert w.T == 2
+    assert terms_of(w) == (live, live)
     # the walk strips them too and still verifies
     res = random_walk(target, dec, SearchConfig(seed=1, max_steps=5))
     assert verify(res.decomposition, target).ok
@@ -479,46 +597,12 @@ def test_plus_budget_is_respected():
     start = standard_decomposition(2, F2)
     for budget in (0, 3, 17):
         cfg = SearchConfig(seed=8, max_steps=20000, plus_budget=budget, patience=25)
-        _res, trace = random_walk(m2, start, cfg, collect_trace=True)
+        trace = random_walk(m2, start, cfg, collect_trace=True).trace
         assert sum(1 for (k, *_r) in trace if k == "plus") <= budget
     # zero budget means no plus moves at all
     cfg0 = SearchConfig(seed=8, max_steps=20000, plus_budget=0, patience=25)
-    _res0, trace0 = random_walk(m2, start, cfg0, collect_trace=True)
+    trace0 = random_walk(m2, start, cfg0, collect_trace=True).trace
     assert all(k != "plus" for (k, *_r) in trace0)
-
-
-def test_rank_monotonicity_of_moves():
-    rnd = random.Random(17)
-    st = rand_state(F3, 2, 6, rnd)
-    n0 = st.rank_bound
-    found = False
-    for i in range(n0):
-        for j in range(n0):
-            if i != j:
-                for s in range(3):
-                    if st.terms[i].factors[s] == st.terms[j].factors[s]:
-                        zero_risk = any(
-                            (st.terms[i].factors[o] + st.terms[j].factors[o]).is_zero
-                            or (st.terms[j].factors[o] - st.terms[i].factors[o]).is_zero
-                            for o in range(3)
-                        )
-                        if not zero_risk:
-                            flip(st, i, j, s, [x for x in range(3) if x != s][0])
-                            assert st.rank_bound == n0  # flips preserve term count
-                            found = True
-                            break
-                if found:
-                    break
-        if found:
-            break
-    t = st.terms[0]
-    m1 = rand_matrix(F3, 2, rnd)
-    m2 = t.factors[0] - m1
-    if not m1.is_zero and not m2.is_zero:
-        before = st.rank_bound
-        plus_move(st, 0, 0, m1, m2)
-        assert st.rank_bound == before + 1  # plus adds exactly one term
-    st.check()
 
 
 def test_search_restarts_and_worker_independence():

@@ -78,8 +78,8 @@ def test_generic_q_walk_trajectory(tmp_path, name):
     start = standard_decomposition(n, Q) if kind == "standard" else scaled_start(n)
     cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=plus, patience=patience,
                        verify_every=every)
-    res, trace = random_walk(matmul_tensor(n, Q), start, cfg, collect_trace=True)
-    got = (sha(repr(trace).encode()), res.rank, res.steps, file_sha(tmp_path, res.decomposition))
+    res = random_walk(matmul_tensor(n, Q), start, cfg, collect_trace=True)
+    got = (sha(repr(res.trace).encode()), res.rank, res.steps, file_sha(tmp_path, res.decomposition))
     assert got == (trace_sha, rank, n_steps, out_sha)
 
 

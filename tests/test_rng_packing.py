@@ -5,7 +5,6 @@ from mmrank.flipgraph.packing import (
     mask_to_matrix,
     matrix_to_mask,
     pack_terms,
-    reverse_mask,
     tensor_to_int,
     unpack_terms,
 )
@@ -73,13 +72,3 @@ def test_int_to_words_round_trip():
     assert len(words) == 2
     back = sum(w << (64 * i) for i, w in enumerate(words))
     assert back == x
-
-
-def test_reverse_mask_is_index_reversal():
-    n = 2
-    for t in standard_decomposition(n, F2).terms:
-        for m in t.factors:
-            assert reverse_mask(matrix_to_mask(m), n * n) == matrix_to_mask(
-                m.reverse_indices()
-            )
-    assert reverse_mask(0b0001, 4) == 0b1000

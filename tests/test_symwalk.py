@@ -2,7 +2,8 @@ import pytest
 
 from mmrank.fields import F2, PrimeField, Q
 from mmrank.flipgraph import SearchConfig
-from mmrank.flipgraph.symwalk import symmetric_random_walk, symmetric_search
+from mmrank.flipgraph.engine import SoundnessError
+from mmrank.flipgraph.symwalk import _SymWalk, symmetric_random_walk, symmetric_search
 from mmrank.proof import naive_symmetric_form, rank7_symmetric_form
 from mmrank.symmetry import (
     OrbitTerm,
@@ -21,6 +22,15 @@ def test_rejects_non_matching_start():
     wrong = SymmetricDecomposition(2, F2, naive_symmetric_form(F2).orbit_terms[:1])
     with pytest.raises(ValueError):
         symmetric_random_walk(m2, wrong, SearchConfig(seed=1, max_steps=10))
+
+
+def test_unsound_state_raises_soundness_error():
+    walk = _SymWalk(matmul_tensor(2, F2), naive_symmetric_form(F2), SearchConfig(seed=1, max_steps=10))
+    walk._verify()
+    e00 = Matrix.basis(F2, 2, 0, 0)
+    walk.target = expand_term(RankOneTerm(e00, e00, e00))
+    with pytest.raises(SoundnessError):
+        walk._verify()
 
 
 def test_rank7_form_is_a_local_minimum():
