@@ -1,12 +1,13 @@
 """Benchmark the walk backends and the exact walks.
 
-Over F2 the native kernel (``_native.walk_f2``) and the pure packed
-engine (``engine.run_walk`` with ``PackedF2Kernel``) run on the same
-packed terms; they follow one trajectory contract, so their best and
-final terms are asserted identical, and only the speed differs.  The
-exact walks (the generic engine over Q, the symmetric walk over F2 and
-F3) have one implementation each: every one runs twice, and the two runs
-are asserted identical.  Run from the repository root:
+Over F2 and F3 the native kernel (``_native.run_walk``) and the pure
+engine (``engine.run_walk``, with ``PackedF2Kernel`` over F2 and
+``GenericKernel`` over F3) run on the same terms; they follow one
+trajectory contract, so their traces, best and final terms are asserted
+identical, and only the speed differs.  The other exact walks (the
+generic engine over Q, the symmetric walk over F2 and F3) have one
+implementation each: every one runs twice, and the two runs are asserted
+identical.  Run from the repository root:
 
     python3 benchmarks/compare_backends.py [--steps N]
 
@@ -18,8 +19,9 @@ import time
 
 from mmrank.fields import F2, PrimeField, Q
 from mmrank.flipgraph import HAVE_COMPILED, SearchConfig, random_walk, symmetric_random_walk
-from mmrank.flipgraph import _native, packing
-from mmrank.flipgraph.engine import PackedF2Kernel, run_walk
+from mmrank.flipgraph import _native
+from mmrank.flipgraph.engine import run_walk
+from mmrank.flipgraph.walk import _kernel_for, _to_kernel_terms
 from mmrank.proof import naive_symmetric_form
 from mmrank.tensors import matmul_tensor, standard_decomposition
 
@@ -41,25 +43,22 @@ def report(label: str, rank: int, steps: int, dt: float):
           f"{dt:8.3f}s  ({rate:,.0f} steps/s)")
 
 
-def run_case(n: int, seed: int, steps: int):
-    target = matmul_tensor(n, F2)
-    terms = packing.pack_terms(standard_decomposition(n, F2))
+def run_case(field, n: int, seed: int, steps: int):
+    kernel = _kernel_for(field, n)
+    terms = _to_kernel_terms(kernel, standard_decomposition(n, field))
+    target = matmul_tensor(n, field).sparse()
     cfg = walk_config(seed, steps)
-    limits = dict(max_steps=cfg.max_steps, plus_budget=cfg.plus_budget, patience=cfg.patience,
-                  verify_every=cfg.verify_every)
+    limits = dict(seed=seed, max_steps=cfg.max_steps, plus_budget=cfg.plus_budget,
+                  patience=cfg.patience, verify_every=cfg.verify_every)
 
-    pure, tp = timed(lambda: run_walk(PackedF2Kernel(n), terms, target.sparse(), seed=seed,
-                                      **limits))
+    pure, tp = timed(lambda: run_walk(kernel, terms, target, **limits))
     report("pure", pure.best_rank, pure.steps, tp)
     if not HAVE_COMPILED:
         print("  native kernel not loaded (MMRANK_NO_EXT set, or no C compiler)")
         return
-    words = packing.int_to_words(packing.tensor_to_int(target), n**6)
-    (best, rank, n_steps, final, _trace), tc = timed(
-        lambda: _native.walk_f2(n, terms, words, seed, *limits.values(), -1, False))
-    report("compiled", rank, n_steps, tc)
-    assert (rank, n_steps) == (pure.best_rank, pure.steps), "backend trajectories diverged"
-    assert (tuple(best), tuple(final)) == (pure.best_terms, pure.final_terms)
+    native, tc = timed(lambda: _native.run_walk(kernel, terms, target, **limits))
+    report("compiled", native.best_rank, native.steps, tc)
+    assert native == pure, "backend trajectories diverged"
     if tc > 0:
         print(f"  speedup: {tp / tc:.1f}x; identical trajectories confirmed")
 
@@ -77,9 +76,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--steps", type=int, default=200_000)
     args = ap.parse_args()
-    for n, seed in ((2, 1), (3, 5), (4, 7)):
-        print(f"walk on the {n}x{n} multiplication tensor over F2, seed {seed}:")
-        run_case(n, seed, args.steps)
+    for field in (F2, PrimeField(3)):
+        for n, seed in ((2, 1), (3, 5), (4, 7), (5, 9)):
+            print(f"walk on the {n}x{n} multiplication tensor over {field.name}, seed {seed}:")
+            run_case(field, n, seed, args.steps)
 
     steps = max(1, args.steps // 10)
     print("generic walk on the 3x3 multiplication tensor over Q, seed 1:")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -41,6 +42,19 @@ class ExitStatus(IntEnum):
 def _fail_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return ExitStatus.USAGE
+
+
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be opened for writing, or None; leaves no new file behind."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    if not existed:
+        os.unlink(path)
+    return None
 
 
 # -- term specs ----------------------------------------------------------------
@@ -169,6 +183,10 @@ def cmd_search(args) -> int:
         )
     except ValueError as exc:
         return _fail_usage(str(exc))
+    out = args.out or f"search_m{n}_{field.name}_seed{args.seed}.txt"
+    reason = _unwritable(out)  # before the walk, which may run for hours
+    if reason is not None:
+        return _fail_usage(f"cannot write {out}: {reason}")
     if args.symmetric:
         if start is None:
             if n != 2:
@@ -182,7 +200,6 @@ def cmd_search(args) -> int:
             start = standard_decomposition(n, field)
         result = search(target, start, cfg, workers=args.workers)
 
-    out = args.out or f"search_m{n}_{field.name}_seed{args.seed}.txt"
     try:
         write_decomposition_file(out, result.decomposition)
     except OSError as exc:

@@ -1,4 +1,9 @@
-"""Loader of the native packed-F2 walk kernel in ``_walk.c``.
+"""Loader and caller of the native walk kernel in ``_walk.c``, over F2 and F3.
+
+:func:`run_walk` is :func:`engine.run_walk` on the kernel, for the
+engine kernels :func:`handles` accepts (packed F2, and F3 up to side 6);
+:func:`walk_f2` and :func:`walk_f3` take the target as words.  Over F3 a
+factor crosses into C as its base-3 key, sum x_i 3**i.
 
 :func:`load` builds the kernel with the system ``cc`` on a cache miss and
 binds it with ``ctypes``.  The library is cached per user as
@@ -17,18 +22,24 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from functools import partial
 from pathlib import Path
 
-from .engine import SoundnessError
+from ..fields import PrimeField
+from ..tensors import pack_bits
+from . import packing
+from .engine import GenericKernel, PackedF2Kernel, SoundnessError, WalkOutcome
 
 SOURCE = Path(__file__).with_name("_walk.c")
 COMPILE = ("cc", "-O2", "-std=c99", "-shared", "-fPIC")
 _TRACE_KINDS = (("flip", 4), ("reduce", 3), ("plus", 2))  # name, fields after it
-_OK, _UNSOUND, _NO_MEMORY, _FULL = 0, 1, 3, 4  # mmrank_walk_f2 status codes
+_OK, _UNSOUND, _NO_MEMORY = 0, 1, 3  # mmrank_walk status codes
 _U64, _I64 = ctypes.c_uint64, ctypes.c_int64
 _U64P = ctypes.POINTER(_U64)
 
-_kernel = None  # mmrank_walk_f2, once load() succeeded
+F3 = PrimeField(3)
+
+_kernel = _free = None  # mmrank_walk and mmrank_free, once load() succeeded
 
 
 def _library(source: bytes) -> Path:
@@ -55,67 +66,98 @@ def _library(source: bytes) -> Path:
 
 def load() -> bool:
     """Build if needed and bind the kernel; False, never an exception, on failure."""
-    global _kernel
+    global _kernel, _free
     try:
-        fn = ctypes.CDLL(str(_library(SOURCE.read_bytes()))).mmrank_walk_f2
+        lib = ctypes.CDLL(str(_library(SOURCE.read_bytes())))
+        fn, free = lib.mmrank_walk, lib.mmrank_free
     except (OSError, AttributeError, subprocess.SubprocessError):
         return False
-    fn.argtypes = [ctypes.c_int32, _U64P, _I64, _U64P, _I64, _U64, _I64, _I64, _I64, _I64,
-                   _I64, _I64, _U64P, _U64P, ctypes.POINTER(ctypes.c_int32), _I64,
-                   ctypes.POINTER(_I64)]
+    fn.argtypes = [ctypes.c_int32, ctypes.c_int32, _U64P, _I64, _U64P, _I64, _U64, _I64, _I64,
+                   _I64, _I64, _I64, _I64, _U64P, ctypes.POINTER(_U64P),
+                   ctypes.POINTER(ctypes.c_int32), _I64, ctypes.POINTER(_I64)]
     fn.restype = ctypes.c_int
-    _kernel = fn
+    free.argtypes, free.restype = [_U64P], None
+    _kernel, _free = fn, free
     return True
 
 
+def handles(kernel) -> bool:
+    """Whether the kernel walks for this engine kernel: packed F2, or F3 up to side 6.
+
+    An F3 factor's key sum x_i 3**i is below 3**36 < 2**63 only while n <= 6.
+    """
+    if isinstance(kernel, PackedF2Kernel):
+        return True
+    return isinstance(kernel, GenericKernel) and kernel.field == F3 and kernel.n <= 6
+
+
 def _first_cap(n_terms):
-    """Term capacity of a walk's first run: the live terms stay near the start rank."""
+    """Term capacity a walk starts with: the live terms stay near the start rank."""
     return 2 * n_terms + 64
 
 
-def _triples(buf, count):
-    flat = buf[:3 * count]
+def _triples(flat, count):
+    flat = flat[:3 * count]
     return list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
-def walk_f2(n, terms, target_words, seed, max_steps, plus_budget, patience,
-            verify_every, target_rank, collect_trace):
-    """Packed-F2 walk; see mmrank.flipgraph.engine for the contract.
+def _f3_key(entries) -> int:
+    """The key sum x_i 3**i of F3 entries; ValueError for an entry outside 0..2."""
+    key = 0
+    for x in reversed(entries):
+        if x not in (0, 1, 2):
+            raise ValueError("native walk rejected its arguments: F3 entry outside 0..2")
+        key = 3 * key + x
+    return key
 
-    Returns ``(best, best_rank, steps, final, trace)`` with terms as
-    ``(u, v, w)`` mask triples.  ``target_rank`` -1 means none; ``trace``
-    is None unless ``collect_trace``.
+
+def walk(p, n, terms, target_words, seed, max_steps, plus_budget, patience,
+         verify_every, target_rank, collect_trace):
+    """One walk over F_p, p = 2 or 3; see mmrank.flipgraph.engine for the contract.
+
+    Terms are ``(u, v, w)`` triples of factors in the engine kernel's form:
+    n*n-bit masks over F2 (``PackedF2Kernel``), entry tuples over F3
+    (``GenericKernel``).  ``target_words`` is the target tensor as
+    little-endian words of ``packing.int_to_words``: over F2 one plane, over
+    F3 the plane of coefficients equal to 1 and then the plane of those
+    equal to 2 (see :func:`target_words`).  Returns ``(best, best_rank,
+    steps, final, trace)``; ``target_rank`` -1 means none; ``trace`` is None
+    unless ``collect_trace``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    flat = (_U64 * (3 * len(terms)))(*(f for term in terms for f in term))
+    keys = terms if p == 2 else [tuple(map(_f3_key, term)) for term in terms]
+    flat = (_U64 * (3 * len(keys)))(*(f for term in keys for f in term))
     target = (_U64 * len(target_words))(*target_words)
     # Only a plus move adds a term, and it costs a step, so the live terms
     # never exceed `bound`; each reduction removes a term, so a trace holds
-    # at most max_steps + bound records.  The term buffers start smaller
-    # and grow when a walk reports them full; a rerun repeats the same
-    # trajectory.  Sized from `bound` alone, they would take gigabytes at
+    # at most max_steps + bound records.  The state starts smaller and the
+    # kernel grows it: sized from `bound` alone, it would take gigabytes at
     # budgets of 10**9.
-    bound = len(terms) + min(plus_budget, max_steps)
-    cap = min(bound, _first_cap(len(terms)))
+    bound = len(keys) + min(plus_budget, max_steps)
     trace_cap = max_steps + bound if collect_trace else 0
     trace = (ctypes.c_int32 * (5 * trace_cap))() if collect_trace else None
-    best, counts = (_U64 * (3 * len(terms)))(), (_I64 * 4)()
-    while True:
-        final = (_U64 * (3 * cap))()
-        status = _kernel(n, flat, len(terms), target, len(target_words), seed, max_steps,
-                         plus_budget, patience, verify_every, target_rank, cap,
-                         best, final, trace, trace_cap, counts)
-        if status != _FULL or cap == bound:
-            break
-        cap = min(bound, 2 * cap)
+    best, final, counts = (_U64 * (3 * len(keys)))(), _U64P(), (_I64 * 5)()
+    status = _kernel(p, n, flat, len(keys), target, len(target_words), seed, max_steps,
+                     plus_budget, patience, verify_every, target_rank, _first_cap(len(keys)),
+                     best, ctypes.byref(final), trace, trace_cap, counts)
     if status == _UNSOUND:
         raise SoundnessError("walk state no longer expands to the target")
     if status == _NO_MEMORY:
         raise MemoryError("native walk could not allocate its state")
     if status != _OK:
         raise ValueError("native walk rejected its arguments")
-    best_rank, steps, final_count, trace_len = counts
+    best_rank, steps, final_count, trace_len = counts[:4]
+    try:
+        final_terms = _triples(final, final_count)
+    finally:
+        _free(final)
+    best_terms = _triples(best, best_rank)
+    if p == 3:
+        decode = GenericKernel(F3, n).decode_draw  # a key's base-3 digits
+        best_terms, final_terms = (
+            [tuple(map(decode, term)) for term in triples]
+            for triples in (best_terms, final_terms))
     records = None
     if collect_trace:
         rows = trace[:5 * trace_len]
@@ -123,4 +165,30 @@ def walk_f2(n, terms, target_words, seed, max_steps, plus_budget, patience,
         for r in range(0, len(rows), 5):
             name, width = _TRACE_KINDS[rows[r]]
             records.append((name, *rows[r + 1:r + 1 + width]))
-    return _triples(best, best_rank), best_rank, steps, _triples(final, final_count), records
+    return best_terms, best_rank, steps, final_terms, records
+
+
+walk_f2 = partial(walk, 2)
+walk_f3 = partial(walk, 3)
+
+
+def target_words(kernel, target) -> list[int]:
+    """``target``, as ``target.sparse()`` gives it, in the layout :func:`walk` takes."""
+    bits = kernel.n ** 6
+    if isinstance(kernel, PackedF2Kernel):
+        return packing.int_to_words(target, bits)
+    planes = (bytearray(bits), bytearray(bits))
+    for flat, c in target.items():
+        planes[c - 1][flat] = 1
+    return [w for plane in planes for w in packing.int_to_words(pack_bits(plane), bits)]
+
+
+def run_walk(kernel, start_terms, target, *, seed, max_steps, plus_budget=0,
+             patience=1000, verify_every=0, target_rank=None,
+             collect_trace=False) -> WalkOutcome:
+    """:func:`engine.run_walk` on the native kernel, for a kernel it :func:`handles`."""
+    walk_fp = walk_f2 if isinstance(kernel, PackedF2Kernel) else walk_f3
+    best, best_rank, steps, final, trace = walk_fp(
+        kernel.n, start_terms, target_words(kernel, target), seed, max_steps, plus_budget,
+        patience, verify_every, -1 if target_rank is None else target_rank, collect_trace)
+    return WalkOutcome(tuple(best), best_rank, steps, tuple(final), trace)

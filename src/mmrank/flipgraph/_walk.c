@@ -1,31 +1,48 @@
-/* Native twin of the packed-F2 walk in mmrank.flipgraph.engine.
+/* Native twin of the walk in mmrank.flipgraph.engine, over F2 and F3.
  *
  * This file transliterates engine._Walk step for step: the same candidate
  * enumeration order, greedy-reduction rule with forbidden pairs,
  * swap-remove compaction, plus draws and xoshiro256** stream.  Any change
  * to the walk must be made in both; the tests compare whole trajectories.
  *
+ * One walk body serves both fields through the field layer below.  A
+ * factor is one uint64 that is also its group key: over F2 the n*n-bit
+ * mask of PackedF2Kernel, over F3 the base-3 integer sum x_i 3^i of its
+ * entries, which orders as GenericKernel.key does and is exactly the
+ * factor GenericKernel.decode_draw makes of a draw (3^36 < 2^63, so
+ * n <= 6).  The zero factor is 0 in both fields.  Arithmetic runs on two
+ * bit planes, one for the entries equal to 1 and one for those equal to 2
+ * (bitsliced GF(3), after Boothby & Bradshaw); over F2 the second plane
+ * stays empty.
+ *
  * Plain C99 with no Python headers: mmrank.flipgraph._native compiles it
- * with the system cc on first import and calls mmrank_walk_f2 through
- * ctypes.  Terms are flat (u, v, w) triples of n*n-bit masks; the caller
- * allocates every output buffer, sized from the bounds documented at
- * mmrank_walk_f2.
+ * with the system cc on first import and calls mmrank_walk through
+ * ctypes.  Terms are flat (u, v, w) key triples.  The caller allocates the
+ * best-term and trace buffers, sized from the bounds documented at
+ * mmrank_walk; the kernel grows its own state and hands the final terms
+ * back in a buffer that the caller releases with mmrank_free.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Status codes returned by mmrank_walk_f2. */
-enum { WALK_OK = 0, WALK_UNSOUND = 1, WALK_BAD_ARGS = 2, WALK_NO_MEMORY = 3, WALK_FULL = 4 };
+/* Status codes returned by mmrank_walk. */
+enum { WALK_OK = 0, WALK_UNSOUND = 1, WALK_BAD_ARGS = 2, WALK_NO_MEMORY = 3 };
 
 /* Trace record kinds; a record is (kind, a, b, c, d) with unused fields 0. */
 enum { TRACE_FLIP = 0, TRACE_REDUCE = 1, TRACE_PLUS = 2 };
 
+/* F3 keys convert to planes CHUNK base-3 digits at a time. */
+enum { CHUNK = 6, CHUNK_SPACE = 729, CHUNK_MASK = 63 };
+
+typedef struct { uint64_t lo, hi; } Planes; /* entries equal to 1, to 2 */
+
 typedef struct {
     uint64_t rng[4];
+    int p, nplanes, top;    /* field, target planes, bit of the top F3 chunk */
     int n2, W, T, cap;
-    uint64_t space;
+    uint64_t space;         /* p^(n*n): draws and factors lie below it */
     uint64_t *fac[3];       /* factor of each term, per slot */
     uint64_t *svals[3];     /* per slot: (value, index) pairs sorted by (value, index) */
     int32_t *sidx[3];
@@ -33,14 +50,80 @@ typedef struct {
     unsigned char *dirty;   /* terms awaiting the greedy reduction */
     int32_t *forb;          /* forbidden pairs (a, b) with a < b, one per live plus split */
     int forb_n;
-    const uint64_t *target;
-    uint64_t *scratch;      /* W words for the expansion check */
+    const uint64_t *target; /* nplanes planes of W words */
+    uint64_t *acc;          /* nplanes * W words for the expansion check */
     uint64_t *best;         /* caller's buffer: best terms as flat triples */
     int best_rank;
     int32_t *trace;         /* caller's buffer of 5-field records, or NULL */
     int64_t trace_cap, trace_n;
-    int status;             /* WALK_FULL or WALK_BAD_ARGS once a buffer would overflow */
+    int status;             /* WALK_BAD_ARGS or WALK_NO_MEMORY once a move cannot proceed */
+    uint16_t to_planes[CHUNK_SPACE];            /* F3: digits -> lo | hi << CHUNK */
+    uint16_t to_key[1 << (2 * CHUNK)];          /* F3: lo | hi << CHUNK -> digits */
 } Walk;
+
+/* -- the field layer ---------------------------------------------------------- */
+
+static void init_f3(Walk *w) {
+    for (unsigned x = 0; x < CHUNK_SPACE; x++) {
+        unsigned lo = 0, hi = 0, y = x;
+        for (int k = 0; k < CHUNK; k++, y /= 3) {
+            lo |= (unsigned)(y % 3 == 1) << k;
+            hi |= (unsigned)(y % 3 == 2) << k;
+        }
+        w->to_planes[x] = (uint16_t)(lo | hi << CHUNK);
+        w->to_key[lo | hi << CHUNK] = (uint16_t)x;
+    }
+}
+
+static Planes planes(const Walk *w, uint64_t x) {
+    Planes r = {x, 0};
+    if (w->p == 3) {
+        r.lo = 0;
+        for (int k = 0; x; k += CHUNK, x /= CHUNK_SPACE) {
+            unsigned d = w->to_planes[x % CHUNK_SPACE];
+            r.lo |= (uint64_t)(d & CHUNK_MASK) << k;
+            r.hi |= (uint64_t)(d >> CHUNK) << k;
+        }
+    }
+    return r;
+}
+
+static uint64_t key(const Walk *w, Planes x) {
+    if (w->p == 2)
+        return x.lo;
+    uint64_t v = 0;
+    for (int k = w->top; k >= 0; k -= CHUNK)
+        v = v * CHUNK_SPACE + w->to_key[((x.lo >> k) & CHUNK_MASK) | ((x.hi >> k) & CHUNK_MASK) << CHUNK];
+    return v;
+}
+
+static Planes padd(const Walk *w, Planes a, Planes b) {
+    if (w->p == 2)
+        return (Planes){a.lo ^ b.lo, 0};
+    uint64_t az = ~(a.lo | a.hi), bz = ~(b.lo | b.hi);
+    return (Planes){(a.lo & bz) | (az & b.lo) | (a.hi & b.hi),
+                    (a.hi & bz) | (az & b.hi) | (a.lo & b.lo)};
+}
+
+static Planes neg(const Walk *w, Planes a) {
+    return w->p == 2 ? a : (Planes){a.hi, a.lo};
+}
+
+static uint64_t fadd(const Walk *w, uint64_t a, uint64_t b) {
+    return w->p == 2 ? a ^ b : key(w, padd(w, planes(w, a), planes(w, b)));
+}
+
+static uint64_t fsub(const Walk *w, uint64_t a, uint64_t b) {
+    return w->p == 2 ? a ^ b : key(w, padd(w, planes(w, a), neg(w, planes(w, b))));
+}
+
+/* Add x to the target-layout accumulator's word k. */
+static void acc_add(Walk *w, int k, Planes x) {
+    Planes s = padd(w, (Planes){w->acc[k], w->p == 3 ? w->acc[w->W + k] : 0}, x);
+    w->acc[k] = s.lo;
+    if (w->p == 3)
+        w->acc[w->W + k] = s.hi;
+}
 
 /* -- rng ------------------------------------------------------------------- */
 
@@ -83,6 +166,40 @@ static void emit(Walk *w, int kind, int a, int b, int c, int d) {
     }
     int32_t *r = w->trace + 5 * w->trace_n++;
     r[0] = kind, r[1] = a, r[2] = b, r[3] = c, r[4] = d;
+}
+
+/* -- state ------------------------------------------------------------------ */
+
+/* (Re)allocate the per-term arrays for cap terms, keeping their contents. */
+static int reserve(Walk *w, int64_t cap) {
+    if (cap > INT32_MAX || (uint64_t)cap > SIZE_MAX / (2 * sizeof(uint64_t)))
+        return 0;
+    void *p;
+#define RESIZE(a, count) \
+    if (!(p = realloc((a), (size_t)(count) * sizeof *(a)))) \
+        return 0; \
+    (a) = p
+    for (int s = 0; s < 3; s++) {
+        RESIZE(w->fac[s], cap);
+        RESIZE(w->svals[s], cap);
+        RESIZE(w->sidx[s], cap);
+    }
+    RESIZE(w->forb, 2 * cap);
+    RESIZE(w->dirty, cap);
+#undef RESIZE
+    w->cap = (int)cap;
+    return 1;
+}
+
+static void release(Walk *w) {
+    for (int s = 0; s < 3; s++) {
+        free(w->fac[s]);
+        free(w->svals[s]);
+        free(w->sidx[s]);
+    }
+    free(w->forb);
+    free(w->dirty);
+    free(w->acc);
 }
 
 /* -- sorted slot arrays ------------------------------------------------------ */
@@ -236,7 +353,7 @@ static int greedy_reduce(Walk *w) {
             if (w->fac[s][a] == w->fac[s][b])
                 shared[nshared++] = s;
         int o = nshared == 3 ? 2 : 3 - shared[0] - shared[1];
-        uint64_t merged = w->fac[o][a] ^ w->fac[o][b];
+        uint64_t merged = fadd(w, w->fac[o][a], w->fac[o][b]);
         emit(w, TRACE_REDUCE, a, b, o, 0);
         if (merged == 0) {
             swap_remove(w, b);
@@ -272,8 +389,8 @@ static int64_t count_candidates(const Walk *w) {
 static int apply_flip(Walk *w, int i, int j, int s, int o) {
     static const int other[3][2] = {{1, 2}, {0, 2}, {0, 1}};
     int oa = other[s][o], ob = other[s][1 - o];
-    uint64_t new_i = w->fac[oa][i] ^ w->fac[oa][j];
-    uint64_t new_j = w->fac[ob][j] ^ w->fac[ob][i];
+    uint64_t new_i = fadd(w, w->fac[oa][i], w->fac[oa][j]);
+    uint64_t new_j = fsub(w, w->fac[ob][j], w->fac[ob][i]);
     set_factor(w, oa, i, new_i);
     set_factor(w, ob, j, new_j);
     unforbid(w, i);
@@ -329,7 +446,7 @@ static int try_plus(Walk *w, int64_t *plus_left) {
     int s = (int)below(w, 3);
     uint64_t a = w->fac[s][t], a1 = 0;
     for (int attempt = 0; attempt < 100 && a1 == 0; attempt++) {
-        uint64_t cand = below(w, w->space);
+        uint64_t cand = below(w, w->space); /* a draw is a factor's key */
         if (cand != 0 && cand != a)
             a1 = cand;
     }
@@ -337,15 +454,15 @@ static int try_plus(Walk *w, int64_t *plus_left) {
         *plus_left = 0;
         return 0;
     }
-    if (w->T >= w->cap) {
-        w->status = WALK_FULL;
+    if (w->T >= w->cap && !reserve(w, 2 * (int64_t)w->cap)) {
+        w->status = WALK_NO_MEMORY;
         return 0;
     }
     set_factor(w, s, t, a1);
     unforbid(w, t);
     int new_idx = w->T;
     for (int sl = 0; sl < 3; sl++) {
-        uint64_t v = sl == s ? a ^ a1 : w->fac[sl][t];
+        uint64_t v = sl == s ? fsub(w, a, a1) : w->fac[sl][t];
         w->fac[sl][new_idx] = v;
         ins_pair(w, sl, v, new_idx);
     }
@@ -364,23 +481,26 @@ static int try_plus(Walk *w, int64_t *plus_left) {
 
 static int expansion_matches(Walk *w) {
     int n2 = w->n2;
-    memset(w->scratch, 0, w->W * sizeof(uint64_t));
+    memset(w->acc, 0, (size_t)w->nplanes * w->W * sizeof(uint64_t));
     for (int t = 0; t < w->T; t++) {
-        uint64_t u = w->fac[0][t], v = w->fac[1][t], ww = w->fac[2][t];
+        Planes u = planes(w, w->fac[0][t]), v = planes(w, w->fac[1][t]);
+        Planes x = planes(w, w->fac[2][t]);
         for (int abit = 0; abit < n2; abit++) {
-            if (!((u >> abit) & 1))
+            if (!(((u.lo | u.hi) >> abit) & 1))
                 continue;
             for (int bbit = 0; bbit < n2; bbit++) {
-                if (!((v >> bbit) & 1))
+                if (!(((v.lo | v.hi) >> bbit) & 1))
                     continue;
+                /* u_a * v_b is 2 when exactly one of them is 2 */
+                Planes c = (((u.hi >> abit) ^ (v.hi >> bbit)) & 1) ? neg(w, x) : x;
                 int base = (abit * n2 + bbit) * n2, lo = base >> 6, sh = base & 63;
-                w->scratch[lo] ^= ww << sh;
+                acc_add(w, lo, (Planes){c.lo << sh, c.hi << sh});
                 if (sh + n2 > 64)
-                    w->scratch[lo + 1] ^= ww >> (64 - sh);
+                    acc_add(w, lo + 1, (Planes){c.lo >> (64 - sh), c.hi >> (64 - sh)});
             }
         }
     }
-    return memcmp(w->scratch, w->target, w->W * sizeof(uint64_t)) == 0;
+    return memcmp(w->acc, w->target, (size_t)w->nplanes * w->W * sizeof(uint64_t)) == 0;
 }
 
 /* -- the walk ------------------------------------------------------------------------- */
@@ -430,91 +550,93 @@ static int run(Walk *w, int64_t max_steps, int64_t plus_left, int64_t patience,
     return expansion_matches(w) ? WALK_OK : WALK_UNSOUND;
 }
 
-/* One packed-F2 walk; see mmrank.flipgraph.engine for the contract.
+/* One walk over F_p, p = 2 or 3; see mmrank.flipgraph.engine for the contract.
  *
- * In: n (1..7), n_terms start triples in terms[3 * n_terms], the target
- * tensor as n_words = ceil(n**6 / 64) little-endian words, the seed and
- * limits (target_rank -1 means none).  term_cap bounds the live terms: a
- * plus move that would exceed it stops the walk with WALK_FULL, and a
- * rerun with a larger cap repeats the same trajectory.  Only a plus move
- * adds a term, and it costs a step, so with plus moves P = min(plus_budget,
- * max_steps) a cap of n_terms + P is never exceeded.
+ * In: p and n (1..7 over F2, 1..6 over F3), n_terms start key triples in
+ * terms[3 * n_terms], the target tensor as n_words = planes *
+ * ceil(n**6 / 64) little-endian words (one plane over F2; over F3 the
+ * plane of coefficients equal to 1, then the plane of those equal to 2),
+ * the seed and limits (target_rank -1 means none).  term_cap, at least
+ * n_terms, is the first capacity of the state, which doubles whenever a
+ * plus move outgrows it.
  *
  * Out: best holds n_terms triples (the best rank never exceeds the start
- * rank) and final term_cap triples; trace, unless NULL, holds trace_cap
- * records of 5 fields, and max_steps + n_terms + P records always
- * suffice (each flip or plus move is a step; each reduction removes a
- * term).  counts[0..3] receive the best rank, the steps taken, the final
- * term count and the trace length.
+ * rank).  On WALK_OK, *final points to the final triples in a buffer the
+ * caller frees with mmrank_free; otherwise it is NULL.  trace, unless
+ * NULL, holds trace_cap records of 5 fields, and max_steps + n_terms + P
+ * records always suffice, with P = min(plus_budget, max_steps) (each
+ * flip or plus move is a step; each reduction removes a term, and only
+ * plus moves add one).  counts[0..4] receive the best rank, the steps
+ * taken, the final term count, the trace length and the final capacity.
  *
  * Returns WALK_OK, WALK_UNSOUND when the state stopped expanding to the
- * target, WALK_BAD_ARGS for invalid input or a full trace buffer,
- * WALK_NO_MEMORY and WALK_FULL. */
-int mmrank_walk_f2(int32_t n, const uint64_t *terms, int64_t n_terms,
-                   const uint64_t *target, int64_t n_words, uint64_t seed,
-                   int64_t max_steps, int64_t plus_budget, int64_t patience,
-                   int64_t verify_every, int64_t target_rank, int64_t term_cap,
-                   uint64_t *best, uint64_t *final, int32_t *trace,
-                   int64_t trace_cap, int64_t *counts) {
-    if (n < 1 || n > 7 || max_steps < 1 || n_terms < 0 || term_cap < n_terms
-        || term_cap > INT32_MAX || plus_budget < 0 || patience < 0 || verify_every < 0
-        || n_words != ((int64_t)n * n * n * n * n * n + 63) / 64)
+ * target, WALK_BAD_ARGS for invalid input or a full trace buffer, and
+ * WALK_NO_MEMORY. */
+int mmrank_walk(int32_t p, int32_t n, const uint64_t *terms, int64_t n_terms,
+                const uint64_t *target, int64_t n_words, uint64_t seed,
+                int64_t max_steps, int64_t plus_budget, int64_t patience,
+                int64_t verify_every, int64_t target_rank, int64_t term_cap,
+                uint64_t *best, uint64_t **final, int32_t *trace,
+                int64_t trace_cap, int64_t *counts) {
+    *final = NULL;
+    int nplanes = p == 3 ? 2 : 1;
+    if ((p != 2 && p != 3) || n < 1 || n > (p == 2 ? 7 : 6) || max_steps < 1 || n_terms < 0
+        || term_cap < n_terms || plus_budget < 0 || patience < 0 || verify_every < 0
+        || n_words != nplanes * (((int64_t)n * n * n * n * n * n + 63) / 64))
         return WALK_BAD_ARGS;
-    Walk w;
-    memset(&w, 0, sizeof w);
-    w.n2 = n * n;
-    w.space = UINT64_C(1) << w.n2;
-    w.W = (int)n_words;
-    w.cap = (int)term_cap;
-    w.target = target;
-    w.best = best;
-    w.best_rank = -1;
-    w.trace = trace;
-    w.trace_cap = trace_cap;
+    Walk *w = calloc(1, sizeof *w); /* too big for the stack with its F3 tables */
+    if (!w)
+        return WALK_NO_MEMORY;
+    w->p = p;
+    w->nplanes = nplanes;
+    w->n2 = n * n;
+    w->top = (w->n2 - 1) / CHUNK * CHUNK;
+    w->space = 1;
+    for (int i = 0; i < w->n2; i++)
+        w->space *= (uint64_t)p;
+    w->W = (int)(n_words / nplanes);
+    w->target = target;
+    w->best = best;
+    w->best_rank = -1;
+    w->trace = trace;
+    w->trace_cap = trace_cap;
+    int status = WALK_BAD_ARGS;
     for (int64_t t = 0; t < 3 * n_terms; t++)
-        if (terms[t] >= w.space)
-            return WALK_BAD_ARGS;
+        if (terms[t] >= w->space)
+            goto done;
+    status = WALK_NO_MEMORY;
+    if (!(w->acc = malloc(n_words * sizeof(uint64_t))) || !reserve(w, term_cap > 0 ? term_cap : 1))
+        goto done;
+    if (p == 3)
+        init_f3(w);
 
-    /* One block: 64-bit arrays first, then 32-bit, then bytes.  Left
-     * uninitialized, so pages beyond the live terms are never touched. */
-    size_t cap = (size_t)(term_cap > 0 ? term_cap : 1);
-    size_t per_term = 6 * sizeof(uint64_t) + 5 * sizeof(int32_t) + 1;
-    if (cap > (SIZE_MAX - w.W * sizeof(uint64_t)) / per_term)
-        return WALK_NO_MEMORY;
-    unsigned char *block = malloc(cap * per_term + w.W * sizeof(uint64_t));
-    if (!block)
-        return WALK_NO_MEMORY;
-    uint64_t *u64 = (uint64_t *)block;
-    for (int s = 0; s < 3; s++) {
-        w.fac[s] = u64 + s * cap;
-        w.svals[s] = u64 + (3 + s) * cap;
-    }
-    w.scratch = u64 + 6 * cap;
-    int32_t *i32 = (int32_t *)(w.scratch + w.W);
-    for (int s = 0; s < 3; s++)
-        w.sidx[s] = i32 + s * cap;
-    w.forb = i32 + 3 * cap;
-    w.dirty = (unsigned char *)(i32 + 5 * cap);
-
-    seed_rng(&w, seed);
+    seed_rng(w, seed);
     for (int64_t t = 0; t < n_terms; t++) {
         const uint64_t *f = terms + 3 * t;
         if (f[0] && f[1] && f[2]) {
             for (int s = 0; s < 3; s++)
-                w.fac[s][w.T] = f[s];
-            w.T++;
+                w->fac[s][w->T] = f[s];
+            w->T++;
         }
     }
     for (int s = 0; s < 3; s++)
-        for (int t = 0; t < w.T; t++)
-            ins_pair(&w, s, w.fac[s][t], t);
+        for (int t = 0; t < w->T; t++)
+            ins_pair(w, s, w->fac[s][t], t);
 
     int64_t steps = 0;
-    int status = run(&w, max_steps, plus_budget, patience, verify_every, target_rank, &steps);
-    for (int t = 0; t < w.T; t++)
-        for (int s = 0; s < 3; s++)
-            final[3 * t + s] = w.fac[s][t];
-    counts[0] = w.best_rank, counts[1] = steps, counts[2] = w.T, counts[3] = w.trace_n;
-    free(block);
+    status = run(w, max_steps, plus_budget, patience, verify_every, target_rank, &steps);
+    if (status == WALK_OK && !(*final = malloc(3 * (size_t)(w->T > 0 ? w->T : 1) * sizeof(uint64_t))))
+        status = WALK_NO_MEMORY;
+    if (*final)
+        for (int t = 0; t < w->T; t++)
+            for (int s = 0; s < 3; s++)
+                (*final)[3 * t + s] = w->fac[s][t];
+    counts[0] = w->best_rank, counts[1] = steps, counts[2] = w->T, counts[3] = w->trace_n;
+    counts[4] = w->cap;
+done:
+    release(w);
+    free(w);
     return status;
 }
+
+void mmrank_free(void *buf) { free(buf); }

@@ -1,7 +1,8 @@
 """The canonical random-walk engine for flip-graph search.
 
 This module is the single definition of the walk; the native kernel in
-``_walk.c`` is a transliteration and must follow it bit for bit.  The
+``_walk.c``, which walks over F2 and F3, is a transliteration and must
+follow it bit for bit.  The
 walk is a pure function of (terms, target, seed, limits):
 
 * State: an ordered list of terms, each a triple of nonzero factors.

@@ -4,10 +4,11 @@
 trajectories with seeds ``cfg.seed + k`` (optionally on worker processes;
 the merged answer never depends on the worker count); its restart
 merging, :func:`best_of_restarts`, serves the symmetric walk too.  Over
-F2 the walk runs on bit-packed terms, using the native kernel
-(``_walk.c``, built with the system C compiler) when it loaded and an
-identical pure-Python twin otherwise; other fields use the generic
-engine.  Trajectories are a pure function of (target, start, config).
+F2 the walk runs on bit-packed terms, elsewhere on tuples of raw scalars
+(see :mod:`engine`).  Over F2 and F3 the native kernel (``_walk.c``,
+built with the system C compiler) walks when it loaded, the pure engine
+otherwise; Q and other primes always use the pure engine.  Trajectories
+are a pure function of (target, start, config).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from ..tensors import Decomposition, Matrix, RankOneTerm, Tensor, verify
 from . import _native, packing
 from .engine import GenericKernel, PackedF2Kernel, run_walk
 
-# The native kernel, built with the system cc on first import (see
-# _native); optional by design, and MMRANK_NO_EXT=1 forces the pure path.
+# The native kernel over F2 and F3, built with the system cc on first import
+# (see _native); optional by design, and MMRANK_NO_EXT=1 forces the pure path.
 _walk_ext = None if os.environ.get("MMRANK_NO_EXT") or not _native.load() else _native
 
 HAVE_COMPILED = _walk_ext is not None
@@ -102,40 +103,27 @@ def random_walk(target: Tensor, start: Decomposition, cfg: SearchConfig,
         raise ValueError("start decomposition does not expand to the target")
 
     field, n = start.field, start.n
+    kernel = _kernel_for(field, n)
+    run = _walk_ext.run_walk if HAVE_COMPILED and _native.handles(kernel) else run_walk
     seed = cfg.seed & MASK64
-    if field == F2 and HAVE_COMPILED:
-        packed = packing.pack_terms(start)
-        target_words = packing.int_to_words(packing.tensor_to_int(target), n**6)
-        best_terms, best_rank, steps, _final, trace = _walk_ext.walk_f2(
-            n, packed, target_words, seed, cfg.max_steps, cfg.plus_budget,
-            cfg.patience, cfg.verify_every,
-            -1 if cfg.target_rank is None else cfg.target_rank,
-            collect_trace,
-        )
-        terms = packing.unpack_terms(n, best_terms)
-    else:
-        kernel = _kernel_for(field, n)
-        outcome = run_walk(
-            kernel,
-            _to_kernel_terms(kernel, start),
-            target.sparse(),
-            seed=seed,
-            max_steps=cfg.max_steps,
-            plus_budget=cfg.plus_budget,
-            patience=cfg.patience,
-            verify_every=cfg.verify_every,
-            target_rank=cfg.target_rank,
-            collect_trace=collect_trace,
-        )
-        best_terms, best_rank, steps = outcome.best_terms, outcome.best_rank, outcome.steps
-        terms = _from_kernel_terms(kernel, field, n, best_terms)
-        trace = outcome.trace
-
+    outcome = run(
+        kernel,
+        _to_kernel_terms(kernel, start),
+        target.sparse(),
+        seed=seed,
+        max_steps=cfg.max_steps,
+        plus_budget=cfg.plus_budget,
+        patience=cfg.patience,
+        verify_every=cfg.verify_every,
+        target_rank=cfg.target_rank,
+        collect_trace=collect_trace,
+    )
+    terms = _from_kernel_terms(kernel, field, n, outcome.best_terms)
     best = Decomposition(n, field, terms)
     post = verify(best, target)
     if not post.ok:
         raise AssertionError("search returned a decomposition that fails verification")
-    return SearchResult(best, best_rank, steps, seed, trace)
+    return SearchResult(best, outcome.best_rank, outcome.steps, seed, outcome.trace)
 
 
 def _one_restart(args):

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from mmrank import cli
 from mmrank.cli import main, parse_factor, parse_term_spec
 from mmrank.fields import Q
 from mmrank.fileformat import read_decomposition_file, write_decomposition_file
@@ -342,6 +344,27 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"error: cannot write {missing}") and "Traceback" not in err
     assert not missing.parent.exists()
+
+
+def test_unwritable_out_fails_before_the_walk(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("search ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "search", refuse)
+    monkeypatch.chdir(tmp_path)
+    out = "/nonexistent/dir/a.txt"
+    code, _out, err = run_cli(["search", "--max-steps", "1000000000", "--out", out], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+    assert not os.path.lexists(out) and list(tmp_path.iterdir()) == []
+
+
+def test_writable_out_check_leaves_files_as_they_were(tmp_path):
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    kept.write_text("old contents\n")
+    assert cli._unwritable(str(fresh)) is None and not fresh.exists()
+    assert cli._unwritable(str(kept)) is None and kept.read_text() == "old contents\n"
+    assert cli._unwritable(str(tmp_path)) is not None  # a directory
 
 
 # -- process-level smoke -----------------------------------------------------------------

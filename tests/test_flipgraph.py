@@ -426,16 +426,21 @@ def test_generic_engine_matches_packed_on_f2():
 
 
 def assert_backends_agree(target, start, cfg):
-    """The native and pure walks give one trace, rank, step count, best and final terms."""
+    """The native and pure walks give one trace, rank, step count, best and final terms.
+
+    Over F2 both walk packed masks, over F3 entry tuples.
+    """
     n = start.n
-    terms = packing.pack_terms(start)
-    words = packing.int_to_words(packing.tensor_to_int(target), n**6)
+    kernel = _kernel_for(start.field, n)
+    terms = _to_kernel_terms(kernel, start)
+    words = _native.target_words(kernel, target.sparse())
+    walk = _native.walk_f2 if start.field == F2 else _native.walk_f3
     limits = dict(max_steps=cfg.max_steps, plus_budget=cfg.plus_budget, patience=cfg.patience,
                   verify_every=cfg.verify_every)
-    best, best_rank, steps, final, trace = _native.walk_f2(
+    best, best_rank, steps, final, trace = walk(
         n, terms, words, cfg.seed, *limits.values(),
         -1 if cfg.target_rank is None else cfg.target_rank, True)
-    pure = run_walk(PackedF2Kernel(n), terms, target.sparse(), seed=cfg.seed,
+    pure = run_walk(kernel, terms, target.sparse(), seed=cfg.seed,
                     target_rank=cfg.target_rank, collect_trace=True, **limits)
     assert trace == pure.trace
     assert (best_rank, steps) == (pure.best_rank, pure.steps)
@@ -513,6 +518,69 @@ def test_compiled_engine_matches_pure_from_zero_factors(native):
     cfg = SearchConfig(seed=9, max_steps=2000, plus_budget=5)
     res = assert_backends_agree(matmul_tensor(2, F2), dec, cfg)
     assert res.steps == 2000
+
+
+@pytest.mark.parametrize("n, steps", [(2, 4000), (3, 3000), (4, 1500), (5, 600)])
+def test_compiled_f3_engine_matches_pure(native, n, steps):
+    target = matmul_tensor(n, F3)
+    start = standard_decomposition(n, F3)
+    cfg = SearchConfig(seed=n, max_steps=steps, plus_budget=steps, patience=50,
+                       verify_every=100)
+    res = assert_backends_agree(target, start, cfg)
+    assert res.steps == steps
+    assert {k for (k, *_r) in res.trace} == {"flip", "reduce", "plus"}
+
+
+def test_compiled_f3_engine_matches_pure_under_frequent_splits(native):
+    for n in (2, 3):
+        target = matmul_tensor(n, F3)
+        start = standard_decomposition(n, F3)
+        for seed in range(1, 6):
+            cfg = SearchConfig(seed=seed, max_steps=2000, plus_budget=2000, patience=5)
+            assert assert_backends_agree(target, start, cfg).steps == 2000
+
+
+def test_compiled_f3_engine_matches_pure_verifying_every_step(native):
+    m3 = matmul_tensor(3, F3)
+    cfg = SearchConfig(seed=3, max_steps=1000, plus_budget=100, patience=40, verify_every=1)
+    assert assert_backends_agree(m3, standard_decomposition(3, F3), cfg).steps == 1000
+
+
+def test_compiled_f3_engine_matches_pure_stopping_at_target_rank(native):
+    m2 = matmul_tensor(2, F3)
+    cfg = SearchConfig(seed=1, max_steps=20_000, plus_budget=20_000, patience=50, target_rank=7)
+    res = assert_backends_agree(m2, standard_decomposition(2, F3), cfg)
+    assert res.best_rank == 7 and res.steps < 20_000
+
+
+def test_compiled_f3_engine_matches_pure_running_out_of_moves(native):
+    # random starts whose walk, with no plus moves, reaches a state with no flip
+    for seed in (14, 34, 58):
+        rnd = random.Random(seed)
+        terms = [RankOneTerm(*(rand_matrix(F3, 2, rnd) for _ in range(3))) for _ in range(5)]
+        terms[1] = RankOneTerm(terms[0].u, terms[1].v, terms[1].w)
+        dec = Decomposition(2, F3, tuple(terms))
+        cfg = SearchConfig(seed=1, max_steps=1000, plus_budget=0)
+        res = assert_backends_agree(expand_decomposition(dec), dec, cfg)
+        assert 0 < res.steps < 1000
+
+
+def test_compiled_f3_engine_matches_pure_from_zero_factors(native):
+    std = standard_decomposition(2, F3).terms
+    z = Matrix.zero(F3, 2)
+    dec = Decomposition(2, F3, (RankOneTerm(z, z, z), *std[:4], RankOneTerm(std[0].u, z, std[1].w),
+                                *std[4:]))
+    cfg = SearchConfig(seed=9, max_steps=2000, plus_budget=5)
+    res = assert_backends_agree(matmul_tensor(2, F3), dec, cfg)
+    assert res.steps == 2000
+
+
+def test_compiled_f3_engine_matches_pure_at_side_6(native):
+    # factors of 36 entries: keys reach 3**35 and draws range up to 3**36
+    cfg = SearchConfig(seed=6, max_steps=150, plus_budget=150, patience=3)
+    res = assert_backends_agree(matmul_tensor(6, F3), standard_decomposition(6, F3), cfg)
+    assert res.steps == 150
+    assert any(f[35] == 2 for term in res.final_terms for f in term)
 
 
 def test_move_soundness_fuzz_f2():

@@ -15,7 +15,7 @@ import pytest
 
 from mmrank.fields import F2, PrimeField, Q
 from mmrank.fileformat import write_decomposition_file
-from mmrank.flipgraph import SearchConfig, random_walk
+from mmrank.flipgraph import SearchConfig, random_walk, walk
 from mmrank.flipgraph.symwalk import symmetric_random_walk
 from mmrank.proof import naive_symmetric_form
 from mmrank.tensors import Decomposition, RankOneTerm, matmul_tensor, standard_decomposition
@@ -79,6 +79,60 @@ def test_generic_q_walk_trajectory(tmp_path, name):
     cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=plus, patience=patience,
                        verify_every=every)
     res = random_walk(matmul_tensor(n, Q), start, cfg, collect_trace=True)
+    got = (sha(repr(res.trace).encode()), res.rank, res.steps, file_sha(tmp_path, res.decomposition))
+    assert got == (trace_sha, rank, n_steps, out_sha)
+
+
+# name: (n, seed, max_steps, plus_budget, patience, verify_every,
+#        target_rank, trace sha, rank, steps, file sha).  Recorded with the
+# pure engine before the native kernel walked F3; both paths must give
+# them.
+GENERIC_F3 = {
+    "f3_m2_standard": (
+        2, 1, 3000, 20, 100, 0, None,
+        "69c9a7b62080ea0ceee938023eae4de806c2191524cc13b38cb72f6c2dce26cf",
+        8, 3000, "ae09196686599b9ceae090ce9f803452e12d21d68d2c8a09a18e103685e85200"),
+    "f3_m2_frequent_plus": (
+        2, 4, 3000, 3000, 5, 0, None,
+        "26003d15fbc93b69e3eab91ab6ae98f70bd1485263e555e25ef3568f80ec36f9",
+        8, 3000, "ae09196686599b9ceae090ce9f803452e12d21d68d2c8a09a18e103685e85200"),
+    "f3_m2_target_rank": (
+        2, 1, 20000, 20000, 50, 0, 7,
+        "54ba9e70d19cf6780f6c8e54ab24ec6bd9ae56f01b345bb1a4acf3323722cd1a",
+        7, 8964, "710234b74ddaea7c73f827560a9251bdec8b30b9d72151d1155c6a4b6ea1baf3"),
+    "f3_m3_verify_every_step": (
+        3, 3, 800, 50, 40, 1, None,
+        "239cc93b00a2866449739f1d9eed7498a33673bd772915265c3e15da79b232e5",
+        27, 800, "d013f05e49724d5fa1fcf61f8deb3aa2571d23983b9e292505f2dc0693e8fbfd"),
+    "f3_m3_frequent_plus": (
+        3, 6, 1500, 1500, 10, 0, None,
+        "5b28bea4a129819fe4eaf5fa295e9ee43fe8b8aed86ef1b0cb2ab113c76191bf",
+        27, 1500, "d013f05e49724d5fa1fcf61f8deb3aa2571d23983b9e292505f2dc0693e8fbfd"),
+    "f3_m4_frequent_plus": (
+        4, 2, 1500, 1500, 30, 0, None,
+        "1565448e7cefe2522866d70068dd85b42eaf893b841a1318cf715ed764476fff",
+        64, 1500, "a8f6eeeaa58e783f3e3f749007ab83418e875ea9e672095014fbd53b3bb8192e"),
+}
+
+
+@pytest.fixture(params=["native", "pure"])
+def walk_path(request, monkeypatch):
+    """Run the test on the native kernel, then on the pure engine."""
+    if request.param == "native":
+        request.getfixturevalue("native")
+    else:
+        monkeypatch.setattr(walk, "HAVE_COMPILED", False)
+    return request.param
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_F3))
+def test_generic_f3_walk_trajectory(tmp_path, name, walk_path):
+    n, seed, steps, plus, patience, every, target, trace_sha, rank, n_steps, out_sha = (
+        GENERIC_F3[name])
+    cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=plus, patience=patience,
+                       verify_every=every, target_rank=target)
+    res = random_walk(matmul_tensor(n, F3), standard_decomposition(n, F3), cfg,
+                      collect_trace=True)
     got = (sha(repr(res.trace).encode()), res.rank, res.steps, file_sha(tmp_path, res.decomposition))
     assert got == (trace_sha, rank, n_steps, out_sha)
 

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from mmrank.fields import F2
-from mmrank.flipgraph import HAVE_COMPILED, _native, packing
-from mmrank.flipgraph.engine import PackedF2Kernel, SoundnessError, run_walk
+from mmrank.fields import F2, PrimeField, Q
+from mmrank.flipgraph import HAVE_COMPILED, SearchConfig, _native, packing, random_walk
+from mmrank.flipgraph.engine import GenericKernel, PackedF2Kernel, SoundnessError, run_walk
+from mmrank.flipgraph.walk import _to_kernel_terms
 from mmrank.tensors import matmul_tensor, standard_decomposition
 
 ROOT = Path(__file__).resolve().parent.parent
+F3 = PrimeField(3)
 PRINT_HAVE_COMPILED = "import mmrank.flipgraph as f; print(f.HAVE_COMPILED)"
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
 
@@ -110,20 +112,24 @@ def test_traced_walk_matches_pure_engine(native):
     assert _native.walk_f2(3, start, words, 6, *limits.values(), -1, False)[4] is None
 
 
-def test_walk_outgrowing_its_first_capacity_is_rerun(native, monkeypatch):
+def test_walk_outgrowing_its_first_capacity_grows_in_one_call(native, monkeypatch):
     start, target, words = m3_packed()
     limits = dict(max_steps=400, plus_budget=400, patience=0, verify_every=0)
-    kernel, caps = _native._kernel, []
+    kernel, calls = _native._kernel, []
 
     def spy(*args):
-        caps.append(args[11])  # term_cap
-        return kernel(*args)
+        status = kernel(*args)
+        calls.append((args[12], args[-1][4]))  # first capacity, final capacity
+        return status
 
     monkeypatch.setattr(_native, "_kernel", spy)
     monkeypatch.setattr(_native, "_first_cap", lambda n_terms: n_terms)
     best, best_rank, steps, final, trace = _native.walk_f2(
         3, start, words, 2, *limits.values(), -1, True)
-    assert caps[:2] == [27, 54] and len(caps) >= 2  # full at 27 terms, then doubled
+    assert len(calls) == 1  # one kernel call, whatever the growth
+    (first_cap, final_cap), = calls
+    # the kernel doubles its state only when a plus move finds all 27 slots live
+    assert first_cap == 27 and final_cap >= 54
     pure = run_walk(PackedF2Kernel(3), start, target, seed=2, collect_trace=True, **limits)
     assert trace == pure.trace
     assert (best_rank, steps, tuple(best), tuple(final)) == (
@@ -146,13 +152,92 @@ def test_native_walk_rejects_bad_arguments(native):
         _native.walk_f2(3, [(1 << 9, 1, 1)] + start, words, 1, 100, 0, 10, 0, -1, False)
 
 
+def m2_f3():
+    kernel = GenericKernel(F3, 2)
+    start = _to_kernel_terms(kernel, standard_decomposition(2, F3))
+    return start, _native.target_words(kernel, matmul_tensor(2, F3).sparse())
+
+
+@pytest.mark.parametrize("verify_every", [0, 1])
+def test_native_f3_walk_reports_unsound_state(native, verify_every):
+    start, words = m2_f3()
+    words[0] ^= 1  # the start no longer expands to this target
+    with pytest.raises(SoundnessError):
+        _native.walk_f3(2, start, words, 1, 100, 0, 10, verify_every, -1, False)
+
+
+def test_native_f3_walk_rejects_bad_arguments(native):
+    start, words = m2_f3()
+    with pytest.raises(ValueError, match="rejected"):  # one plane short
+        _native.walk_f3(2, start, words[:-1], 1, 100, 0, 10, 0, -1, False)
+    with pytest.raises(ValueError, match="rejected"):  # an entry outside 0..2
+        _native.walk_f3(2, [((3, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0))] + start, words,
+                        1, 100, 0, 10, 0, -1, False)
+    with pytest.raises(ValueError, match="rejected"):  # a key of 3**36 would not fit
+        _native.walk_f3(7, [], [0] * (2 * ((7**6 + 63) // 64)), 1, 100, 0, 10, 0, -1, False)
+
+
+def spy_kernel(monkeypatch):
+    calls = []
+    kernel = _native._kernel
+
+    def spy(*args):
+        calls.append(args[0])  # the field's p
+        return kernel(*args)
+
+    monkeypatch.setattr(_native, "_kernel", spy)
+    return calls
+
+
+def test_f3_walks_up_to_side_6_run_on_the_kernel(native, monkeypatch):
+    calls = spy_kernel(monkeypatch)
+    cfg = SearchConfig(seed=1, max_steps=50, plus_budget=5)
+    for n in (2, 3):
+        random_walk(matmul_tensor(n, F3), standard_decomposition(n, F3), cfg)
+    random_walk(matmul_tensor(2, F2), standard_decomposition(2, F2), cfg)
+    assert calls == [3, 3, 2]
+    assert _native.handles(GenericKernel(F3, 6))
+
+
+def test_other_fields_and_sides_keep_the_pure_engine(native, monkeypatch):
+    calls = spy_kernel(monkeypatch)
+    cfg = SearchConfig(seed=1, max_steps=50, plus_budget=5)
+    for field in (PrimeField(5), Q):
+        random_walk(matmul_tensor(2, field), standard_decomposition(2, field), cfg)
+    assert calls == []
+    # tensors stop at side 6, so only the kernel choice can be asked about side 7
+    assert not _native.handles(GenericKernel(F3, 7))
+    assert not _native.handles(GenericKernel(PrimeField(5), 2))
+    assert not _native.handles(GenericKernel(F2, 2))
+
+
+def test_no_ext_walks_f3_without_the_kernel(tmp_path, cli_env):
+    script = (
+        "from mmrank.fields import PrimeField\n"
+        "from mmrank.flipgraph import SearchConfig, _native, random_walk\n"
+        "from mmrank.tensors import matmul_tensor, standard_decomposition\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('the native kernel was called')\n"
+        "_native._kernel = refuse\n"
+        "F3 = PrimeField(3)\n"
+        "res = random_walk(matmul_tensor(2, F3), standard_decomposition(2, F3),\n"
+        "                  SearchConfig(seed=1, max_steps=50, plus_budget=5))\n"
+        "print(res.steps)\n")
+    env = child_env(cli_env, tmp_path / "cache", MMRANK_NO_EXT="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "50"
+
+
 def test_compare_backends_script_runs(cli_env):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "compare_backends.py"), "--steps", "2000"],
         env=cli_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for n in (2, 3, 4):
-        assert f"walk on the {n}x{n} multiplication tensor" in proc.stdout
+    for field in ("F2", "F3"):
+        for n in (2, 3, 4, 5):
+            assert f"walk on the {n}x{n} multiplication tensor over {field}" in proc.stdout
     confirmed = proc.stdout.count("identical trajectories confirmed")
-    assert confirmed == (3 if HAVE_COMPILED else 0), proc.stdout
+    assert confirmed == (8 if HAVE_COMPILED else 0), proc.stdout
     assert proc.stdout.count("deterministic: both runs gave the same result") == 3, proc.stdout
