@@ -10,6 +10,7 @@ deterministic for fixed arguments; only bench timings (on stderr) vary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -96,6 +97,17 @@ def parse_term_spec(spec: str, field: Field, n: int) -> RankOneTerm:
 # -- commands ------------------------------------------------------------------
 
 
+def _verify_file(dec):
+    """(plain decomposition, verify result) of a read file; prints a mismatch."""
+    plain = flatten(dec) if isinstance(dec, SymmetricDecomposition) else dec
+    res = verify(plain, matmul_tensor(plain.n, plain.field))
+    if not res.ok:
+        print(f"MISMATCH rank-bound {res.rank_bound}")
+        for p in res.mismatches:
+            print(f"  at {p}")
+    return plain, res
+
+
 def cmd_verify(args) -> int:
     try:
         dec = read_decomposition_file(args.file)
@@ -109,16 +121,11 @@ def cmd_verify(args) -> int:
             return _fail_usage(
                 f"target m{m.group(1)} does not match file side n={dec.n}"
             )
-    plain = flatten(dec) if isinstance(dec, SymmetricDecomposition) else dec
-    target = matmul_tensor(dec.n, dec.field)
-    res = verify(plain, target)
-    if res.ok:
-        print(f"VERIFIED rank<={res.rank_bound}")
-        return ExitStatus.OK
-    print(f"MISMATCH rank-bound {res.rank_bound}")
-    for p in res.mismatches:
-        print(f"  at {p}")
-    return ExitStatus.MISMATCH
+    _, res = _verify_file(dec)
+    if not res.ok:
+        return ExitStatus.MISMATCH
+    print(f"VERIFIED rank<={res.rank_bound}")
+    return ExitStatus.OK
 
 
 def cmd_replay_proof(args) -> int:
@@ -248,14 +255,8 @@ def cmd_orbit(args) -> int:
 
 
 def _load_verified_program(path):
-    dec = read_decomposition_file(path)
-    plain = flatten(dec) if isinstance(dec, SymmetricDecomposition) else dec
-    target = matmul_tensor(plain.n, plain.field)
-    res = verify(plain, target)
+    plain, res = _verify_file(read_decomposition_file(path))
     if not res.ok:
-        print(f"MISMATCH rank-bound {res.rank_bound}")
-        for p in res.mismatches:
-            print(f"  at {p}")
         return None, ExitStatus.MISMATCH
     return compile_program(plain), ExitStatus.OK
 
@@ -384,8 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return int(args.fn(args))
 
 

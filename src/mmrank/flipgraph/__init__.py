@@ -11,7 +11,7 @@ follows the identical trajectory contract, so results never depend on
 which one ran.  Set ``MMRANK_NO_EXT=1`` to force the pure path.
 """
 
-from .symwalk import SymmetricSearchResult, symmetric_random_walk
+from .symwalk import symmetric_random_walk
 from .walk import (
     HAVE_COMPILED,
     SearchConfig,
@@ -24,7 +24,6 @@ __all__ = [
     "HAVE_COMPILED",
     "SearchConfig",
     "SearchResult",
-    "SymmetricSearchResult",
     "random_walk",
     "search",
     "symmetric_random_walk",

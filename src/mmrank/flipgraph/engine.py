@@ -40,9 +40,15 @@ walk is a pure function of (terms, target, seed, limits):
   ``max_steps``, when a requested rank bound is reached, or when no move
   exists.  All randomness comes from one xoshiro256** stream.
 
+This schedule is :class:`_Schedule`, run by :class:`_Walk` and by the
+symmetric walk (:mod:`.symwalk`), which supply their state and moves as
+hooks: ``_reduce_all``, ``_count_candidates``, ``_apply_flip_at(k)`` (True
+when it reduced), ``_plus_sites``, ``_factor(t, s)``, ``_split(t, s, a1)``
+(True when applied), ``_snapshot_if_better`` and ``_verify_now``.
+
 Each move is also a :class:`_Walk` method that applies it alone, with
 no reduction: ``_flip(i, j, s, o)``, ``_merge(a, b)`` for a given pair
-and ``_plus(t, s, a1)`` for a given split; ``_greedy_reduce`` merges
+and ``_plus(t, s, a1)`` for a given split; ``_reduce_all`` merges
 through ``_merge``.
 
 Factors are plain Python values: packed ints over F2, tuples of raw
@@ -70,6 +76,8 @@ _SLOT_PAIRS = ((0, 1), (0, 2), (1, 2))
 class PackedF2Kernel:
     """Factors are n*n-bit ints over F2; add and sub are XOR."""
 
+    field = F2
+
     def __init__(self, n: int):
         self.n = n
         self.n2 = n * n
@@ -89,9 +97,6 @@ class PackedF2Kernel:
     @staticmethod
     def decode_draw(x):
         return x
-
-    def expansion_matches(self, fac, count, target) -> bool:
-        return sparse_expansion(F2, self.n, zip(*(f[:count] for f in fac))) == target
 
 
 class GenericKernel:
@@ -149,9 +154,6 @@ class GenericKernel:
             return tuple(digits)
         return tuple(-1 if d == 2 else d for d in digits)
 
-    def expansion_matches(self, fac, count, target) -> bool:
-        return sparse_expansion(self.field, self.n, zip(*(f[:count] for f in fac))) == target
-
 
 def _integral(t: tuple) -> tuple:
     """``t`` with every integral ``Fraction`` replaced by its ``int``."""
@@ -173,10 +175,11 @@ class SoundnessError(RuntimeError):
     """The walk state stopped matching the target; an engine bug."""
 
 
-class _Walk:
-    def __init__(self, kernel, start_terms, target, *, seed, max_steps,
-                 plus_budget, patience, verify_every, target_rank,
-                 collect_trace):
+class _Schedule:
+    """The step loop, plus draw and limits; ``target`` is in ``Tensor.sparse`` form."""
+
+    def __init__(self, kernel, target, *, seed, max_steps, plus_budget,
+                 patience, verify_every, target_rank):
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         self.k = kernel
@@ -187,6 +190,68 @@ class _Walk:
         self.patience = patience
         self.verify_every = verify_every
         self.target_rank = target_rank
+        self.forbidden = set()
+        self.best_rank = None
+
+    def _unforbid(self, idx):
+        if self.forbidden:
+            self.forbidden = {p for p in self.forbidden if idx not in p}
+
+    def _try_plus(self) -> bool:
+        """Draw a site and a slot, then offer up to 100 drawn halves to ``_split``.
+
+        With no site, or no split applied, plus moves stop for the walk.
+        """
+        sites = self._plus_sites()
+        if sites:
+            rng, kern = self.rng, self.k
+            t = sites[rng.below(len(sites))]
+            s = rng.below(3)
+            a = self._factor(t, s)
+            for _ in range(100):
+                a1 = kern.decode_draw(rng.below(kern.space))
+                if a1 != kern.zero and a1 != a and self._split(t, s, a1):
+                    self._reduce_all()
+                    self.plus_left -= 1
+                    return True
+        self.plus_left = 0
+        return False
+
+    def _run(self) -> int:
+        """Reduce, then walk until a stop rule holds; returns the steps taken."""
+        self._reduce_all()
+        self._snapshot_if_better()
+        steps = 0
+        fails = 0
+        while steps < self.max_steps:
+            if self.target_rank is not None and self.best_rank <= self.target_rank:
+                break
+            n_flips = self._count_candidates()
+            moved = False
+            if self.plus_left > 0 and (fails >= self.patience or n_flips == 0):
+                moved = self._try_plus()
+                if moved:
+                    fails = 0
+            if not moved:
+                if n_flips == 0:
+                    if self.plus_left > 0:
+                        continue
+                    break
+                if self._apply_flip_at(self.rng.below(n_flips)):
+                    fails = 0
+                else:
+                    fails += 1
+            steps += 1
+            self._snapshot_if_better()
+            if self.verify_every and steps % self.verify_every == 0:
+                self._verify_now()
+        self._verify_now()
+        return steps
+
+
+class _Walk(_Schedule):
+    def __init__(self, kernel, start_terms, target, *, collect_trace, **limits):
+        super().__init__(kernel, target, **limits)
         self.trace = [] if collect_trace else None
 
         zero = kernel.zero
@@ -205,8 +270,6 @@ class _Walk:
             for t in range(self.T):
                 self._ins(s, self.fac[s][t], t)
         self.dirty = set()
-        self.forbidden = set()
-        self.best_rank = None
         self.best_terms = None
 
     # -- index maintenance -------------------------------------------------
@@ -233,10 +296,6 @@ class _Walk:
         self._del(s, self.fac[s][idx], idx)
         self.fac[s][idx] = val
         self._ins(s, val, idx)
-
-    def _unforbid(self, idx):
-        if self.forbidden:
-            self.forbidden = {p for p in self.forbidden if idx not in p}
 
     def _swap_remove(self, x):
         last = self.T - 1
@@ -288,7 +347,7 @@ class _Walk:
                     if y >= x:
                         y += 1
                     self._flip(g[x], g[y], s, o)
-                    return self._greedy_reduce()
+                    return self._reduce_all()
                 k -= c
         raise AssertionError("flip candidate index out of range")
 
@@ -364,7 +423,7 @@ class _Walk:
             self._swap_remove(b)
             self.dirty.add(a)
 
-    def _greedy_reduce(self) -> bool:
+    def _reduce_all(self) -> bool:
         reduced = False
         while self.dirty:
             t = min(self.dirty)
@@ -380,26 +439,14 @@ class _Walk:
 
     # -- plus moves ------------------------------------------------------------
 
-    def _try_plus(self) -> bool:
-        kern = self.k
-        if self.T == 0:
-            self.plus_left = 0
-            return False
-        t = self.rng.below(self.T)
-        s = self.rng.below(3)
-        a = self.fac[s][t]
-        a1 = None
-        for _ in range(100):
-            cand = kern.decode_draw(self.rng.below(kern.space))
-            if cand != kern.zero and cand != a:
-                a1 = cand
-                break
-        if a1 is None:
-            self.plus_left = 0
-            return False
+    def _plus_sites(self):
+        return range(self.T)
+
+    def _factor(self, t, s):
+        return self.fac[s][t]
+
+    def _split(self, t, s, a1) -> bool:
         self._plus(t, s, a1)
-        self._greedy_reduce()
-        self.plus_left -= 1
         return True
 
     def _plus(self, t, s, a1):
@@ -432,38 +479,12 @@ class _Walk:
             )
 
     def _verify_now(self):
-        if not self.k.expansion_matches(self.fac, self.T, self.target):
+        if sparse_expansion(self.k.field, self.k.n, zip(*self.fac)) != self.target:
             raise SoundnessError("walk state no longer expands to the target")
 
     def run(self) -> WalkOutcome:
         self.dirty = set(range(self.T))
-        self._greedy_reduce()
-        self._snapshot_if_better()
-        steps = 0
-        fails = 0
-        while steps < self.max_steps:
-            if self.target_rank is not None and self.best_rank <= self.target_rank:
-                break
-            n_flips = self._count_candidates()
-            moved = False
-            if self.plus_left > 0 and (fails >= self.patience or n_flips == 0):
-                moved = self._try_plus()
-                if moved:
-                    fails = 0
-            if not moved:
-                if n_flips == 0:
-                    if self.plus_left > 0:
-                        continue
-                    break
-                if self._apply_flip_at(self.rng.below(n_flips)):
-                    fails = 0
-                else:
-                    fails += 1
-            steps += 1
-            self._snapshot_if_better()
-            if self.verify_every and steps % self.verify_every == 0:
-                self._verify_now()
-        self._verify_now()
+        steps = self._run()
         final = tuple(
             (self.fac[0][t], self.fac[1][t], self.fac[2][t]) for t in range(self.T)
         )

@@ -17,11 +17,11 @@ removed.  Any move whose modified representatives end up with stabilizer
 sizes 2 or 3 is rejected, matching the tag set of
 :class:`~mmrank.symmetry.SymmetricDecomposition`.
 
-Schedule, randomness and bookkeeping follow the plain walk: uniform
-choice over the enumerated flip candidates, greedy reductions in scan
-order after every move, a patience window before plus splits of a free
-orbit's representative, and one xoshiro256** stream for everything.
-Plus draws decode exactly as in the generic engine.
+The walk runs on :class:`~mmrank.flipgraph.engine._Schedule`, the step
+loop and plus draw of the plain walk, and supplies its moves as the
+schedule's hooks: flips are drawn uniformly from an enumerated candidate
+list, reductions are found in scan order after every move, and plus
+moves split a free orbit's representative.
 
 The state holds plain values: each representative is a triple of raw
 entry tuples in :class:`~mmrank.flipgraph.engine.GenericKernel` form
@@ -29,37 +29,22 @@ entry tuples in :class:`~mmrank.flipgraph.engine.GenericKernel` form
 ``GROUP`` order, computed once when the representative is set.  On
 such triples the index inversion is ``m[::-1]`` on every factor and the
 rotation a slot cycle, and a stabilizer is a count of images equal to
-the representative.  ``Matrix``, ``RankOneTerm`` and ``OrbitTerm``
-objects are built only to check the start, for ``verify_every`` and the
-final check, and for the result.  ``symmetric_search`` runs and merges
-its restarts with :func:`~mmrank.flipgraph.walk.best_of_restarts`, like
+the representative.  Soundness checks expand these triples sparsely;
+``Matrix``, ``RankOneTerm`` and ``OrbitTerm`` objects are built only for
+the result, a :class:`~mmrank.flipgraph.walk.SearchResult` whose
+decomposition is symmetric.  ``symmetric_search`` runs and merges its
+restarts with :func:`~mmrank.flipgraph.walk.best_of_restarts`, like
 ``search``.
 """
 
 from __future__ import annotations
 
-from ..rng import Xoshiro256
-from ..symmetry import (
-    OrbitTerm,
-    StabilizerTag,
-    SymmetricDecomposition,
-    expand_symmetric,
-)
-from ..tensors import Matrix, RankOneTerm, Tensor
-from .engine import _OTHER_SLOTS, GenericKernel, SoundnessError
-from .walk import MASK64, SearchConfig, best_of_restarts
+from ..symmetry import OrbitTerm, StabilizerTag, SymmetricDecomposition
+from ..tensors import Matrix, RankOneTerm, Tensor, sparse_expansion
+from .engine import _OTHER_SLOTS, GenericKernel, SoundnessError, _Schedule
+from .walk import MASK64, SearchConfig, SearchResult, best_of_restarts
 
 _SLOTS = (0, 1, 2)
-
-
-class SymmetricSearchResult:
-    __slots__ = ("decomposition", "rank", "steps", "seed")
-
-    def __init__(self, decomposition: SymmetricDecomposition, rank: int, steps: int, seed: int):
-        self.decomposition = decomposition
-        self.rank = rank
-        self.steps = steps
-        self.seed = seed
 
 
 def _images(rep: tuple) -> tuple:
@@ -85,29 +70,35 @@ def _with_factor(rep: tuple, slot: int, m: tuple) -> tuple:
     return tuple(f)
 
 
-class _SymWalk:
+def _orbit_triples(pairs):
+    """The plain terms of (images, tag) pairs: a fixed term once, a free orbit's six images."""
+    for imgs, tag in pairs:
+        if tag is StabilizerTag.TRIVIAL:
+            yield from imgs
+        else:
+            yield imgs[0]
+
+
+class _SymWalk(_Schedule):
     def __init__(self, target: Tensor, start: SymmetricDecomposition, cfg: SearchConfig):
         if start.n != target.n or start.field != target.field:
             raise ValueError("start and target have different shape or field")
-        if expand_symmetric(start) != target:
-            raise ValueError("start symmetric decomposition does not expand to the target")
-        self.field = start.field
-        self.n = start.n
-        self.k = GenericKernel(start.field, start.n)
-        self.target = target
-        self.cfg = cfg
-        self.rng = Xoshiro256(cfg.seed & MASK64)
+        self.seed = cfg.seed & MASK64
+        super().__init__(
+            GenericKernel(start.field, start.n), target.sparse(),
+            seed=self.seed, max_steps=cfg.max_steps, plus_budget=cfg.plus_budget,
+            patience=cfg.patience, verify_every=cfg.verify_every, target_rank=cfg.target_rank,
+        )
         # images[i]: the six images of representative i, which is images[i][0]
         lift = self.k.lift
         self.images: list[tuple] = [
             _images(tuple(lift(m.entries) for m in ot.rep.factors)) for ot in start.orbit_terms
         ]
         self.tags: list[StabilizerTag] = [ot.tag for ot in start.orbit_terms]
-        self.forbidden: set[tuple[int, int]] = set()
-        self.plus_left = cfg.plus_budget
-        self.best_rank = None
+        if not self._expands(zip(self.images, self.tags)):
+            raise ValueError("start symmetric decomposition does not expand to the target")
         self.best = None
-        self.char_kills_group_sum = self.field.characteristic in (2, 3)
+        self.char_kills_group_sum = start.field.characteristic in (2, 3)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -118,11 +109,14 @@ class _SymWalk:
     def _trivial_indices(self) -> list[int]:
         return [i for i, t in enumerate(self.tags) if t is StabilizerTag.TRIVIAL]
 
+    def _expands(self, pairs) -> bool:
+        return sparse_expansion(self.k.field, self.k.n, _orbit_triples(pairs)) == self.target
+
     def _snapshot_if_better(self):
         r = self._rank()
         if self.best_rank is None or r < self.best_rank:
             self.best_rank = r
-            self.best = tuple((imgs[0], t) for imgs, t in zip(self.images, self.tags))
+            self.best = tuple(zip(self.images, self.tags))
 
     def _delete(self, drop: list[int]) -> None:
         drop_set = set(drop)
@@ -140,21 +134,18 @@ class _SymWalk:
             if a in remap and b in remap
         }
 
-    def _unforbid(self, idx: int) -> None:
-        if self.forbidden:
-            self.forbidden = {p for p in self.forbidden if idx not in p}
-
     def _decomposition(self, pairs) -> SymmetricDecomposition:
-        field, n = self.field, self.n
+        field, n = self.k.field, self.k.n
         return SymmetricDecomposition(n, field, tuple(
-            OrbitTerm(RankOneTerm(*(Matrix(field, n, m) for m in rep)), tag)
-            for rep, tag in pairs
+            OrbitTerm(RankOneTerm(*(Matrix(field, n, m) for m in imgs[0])), tag)
+            for imgs, tag in pairs
         ))
 
     # -- moves ----------------------------------------------------------------
 
-    def _flip_candidates(self) -> list[tuple[int, int, int, int, int]]:
-        cands = []
+    def _count_candidates(self) -> int:
+        """Enumerate the flip candidates; ``_apply_flip_at`` picks from them."""
+        self.cands = cands = []
         triv = self._trivial_indices()
         for i in triv:
             ri = self.images[i][0]
@@ -166,7 +157,11 @@ class _SymWalk:
                         if ri[s] == image[s]:
                             cands.append((i, j, gi, s, 0))
                             cands.append((i, j, gi, s, 1))
-        return cands
+        return len(cands)
+
+    def _apply_flip_at(self, k) -> bool:
+        before = self._rank()
+        return self._apply_flip(*self.cands[k]) and self._rank() < before
 
     def _apply_flip(self, i, j, gi, s, o) -> bool:
         """Returns True when applied; False when tag revalidation rejects."""
@@ -241,90 +236,45 @@ class _SymWalk:
                 self._delete([j])
             reduced = True
 
-    def _try_plus(self) -> bool:
-        kern = self.k
-        triv = self._trivial_indices()
-        if not triv:
-            self.plus_left = 0
-            return False
-        t = triv[self.rng.below(len(triv))]
-        s = self.rng.below(3)
+    _plus_sites = _trivial_indices
+
+    def _factor(self, t, s):
+        return self.images[t][0][s]
+
+    def _split(self, t, s, m1) -> bool:
+        """Split representative t's slot s into m1 and the rest, if both halves are free."""
         rep = self.images[t][0]
-        a = rep[s]
-        split = None
-        for _ in range(100):
-            m1 = kern.decode_draw(self.rng.below(kern.space))
-            if m1 == kern.zero or m1 == a:
-                continue
-            first = _free_images(_with_factor(rep, s, m1))
-            second = None if first is None else _free_images(_with_factor(rep, s, kern.sub(a, m1)))
-            if second is not None:
-                split = (first, second)
-                break
-        if split is None:
-            self.plus_left = 0
+        first = _free_images(_with_factor(rep, s, m1))
+        second = None if first is None else _free_images(
+            _with_factor(rep, s, self.k.sub(rep[s], m1)))
+        if second is None:
             return False
-        first, second = split
         self.images[t] = first
         self._unforbid(t)
         self.images.append(second)
         self.tags.append(StabilizerTag.TRIVIAL)
-        new = len(self.images) - 1
-        self.forbidden.add((t, new))
-        self._reduce_all()
-        self.plus_left -= 1
+        self.forbidden.add((t, len(self.images) - 1))
         return True
 
-    def _verify(self):
-        sd = self._decomposition((imgs[0], t) for imgs, t in zip(self.images, self.tags))
-        if expand_symmetric(sd) != self.target:
+    def _verify_now(self):
+        if not self._expands(zip(self.images, self.tags)):
             raise SoundnessError("symmetric walk state no longer expands to the target")
 
-    def run(self) -> SymmetricSearchResult:
-        cfg = self.cfg
-        self._reduce_all()
-        self._snapshot_if_better()
-        steps = 0
-        fails = 0
-        while steps < cfg.max_steps:
-            if cfg.target_rank is not None and self.best_rank <= cfg.target_rank:
-                break
-            cands = self._flip_candidates()
-            moved = False
-            if self.plus_left > 0 and (fails >= cfg.patience or not cands):
-                moved = self._try_plus()
-                if moved:
-                    fails = 0
-            if not moved:
-                if not cands:
-                    if self.plus_left > 0:
-                        continue
-                    break
-                before = self._rank()
-                applied = self._apply_flip(*cands[self.rng.below(len(cands))])
-                if applied and self._rank() < before:
-                    fails = 0
-                else:
-                    fails += 1
-            steps += 1
-            self._snapshot_if_better()
-            if cfg.verify_every and steps % cfg.verify_every == 0:
-                self._verify()
-        self._verify()
-        best = self._decomposition(self.best)
-        if expand_symmetric(best) != self.target:
+    def run(self) -> SearchResult:
+        steps = self._run()
+        if not self._expands(self.best):
             raise SoundnessError("symmetric walk best state fails verification")
-        return SymmetricSearchResult(best, self.best_rank, steps, cfg.seed & MASK64)
+        return SearchResult(self._decomposition(self.best), self.best_rank, steps, self.seed)
 
 
 def symmetric_random_walk(target: Tensor, start: SymmetricDecomposition,
-                          cfg: SearchConfig) -> SymmetricSearchResult:
+                          cfg: SearchConfig) -> SearchResult:
     """One deterministic walk over orbit representatives."""
     return _SymWalk(target, start, cfg).run()
 
 
 def symmetric_search(target: Tensor, start: SymmetricDecomposition,
-                     cfg: SearchConfig, workers: int = 1) -> SymmetricSearchResult:
+                     cfg: SearchConfig, workers: int = 1) -> SearchResult:
     """Best of cfg.restarts walks, restart k seeded with seed + k.
 
     Restarts run and merge as in :func:`~mmrank.flipgraph.walk.search`,

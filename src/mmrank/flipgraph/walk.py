@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from ..fields import F2, Field
+from ..symmetry import SymmetricDecomposition
 from ..tensors import Decomposition, Matrix, RankOneTerm, Tensor, verify
 from . import _native, packing
 from .engine import GenericKernel, PackedF2Kernel, run_walk
@@ -61,9 +62,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """``trace`` holds the walk's move records when it was collected."""
+    """The best state of a walk, plain or symmetric.
 
-    decomposition: Decomposition
+    ``trace`` holds the walk's move records when it was collected.
+    """
+
+    decomposition: Decomposition | SymmetricDecomposition
     rank: int
     steps: int
     seed: int

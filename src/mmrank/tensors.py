@@ -27,6 +27,7 @@ MAX_SIDE = 6
 Position = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BINARY_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def pack_bits(values) -> int:
@@ -202,7 +203,7 @@ class Tensor:
     """Dense order-3 tensor over triples of n x n index pairs.
 
     Tensors are immutable; :meth:`sparse` scans the coefficients once and
-    keeps the result.
+    keeps the result, unless :meth:`from_sparse` was given it.
     """
 
     __slots__ = ("field", "n", "coeffs", "_sparse")
@@ -226,10 +227,23 @@ class Tensor:
 
     @classmethod
     def from_sparse(cls, field: Field, n: int, acc) -> "Tensor":
-        """The dense tensor of a :func:`sparse_expansion` result."""
+        """The tensor of a :func:`sparse_expansion` result, kept as its :meth:`sparse` form.
+
+        Outside F2 the tensor takes ``acc`` over, read-only.  Its values
+        are raw already, so the dense coefficients are not coerced again.
+        """
+        _check_side(n)
         if field == F2:
-            acc = {flat: 1 for flat, bit in enumerate(reversed(f"{acc:b}")) if bit == "1"}
-        return cls(field, n, [acc.get(flat, field.zero) for flat in range(n**6)])
+            coeffs = tuple(f"{acc:0{n**6}b}".encode().translate(_BINARY_VALUES)[::-1])
+        else:
+            dense = [field.zero] * n**6
+            for flat, c in acc.items():
+                dense[flat] = c
+            coeffs = tuple(dense)
+            acc = MappingProxyType(acc)
+        t = cls.__new__(cls)
+        t.field, t.n, t.coeffs, t._sparse = field, n, coeffs, acc
+        return t
 
     def sparse(self):
         """This tensor in the form :func:`sparse_expansion` returns.
@@ -333,14 +347,11 @@ def matmul_tensor(n: int, field: Field) -> Tensor:
     """
     _check_side(n)
     n2 = n * n
-    coeffs = [field.zero] * n**6
-    one = field.one
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                flat = ((i * n + j) * n2 + (j * n + k)) * n2 + (k * n + i)
-                coeffs[flat] = one
-    return Tensor(field, n, coeffs)
+    flats = [((i * n + j) * n2 + (j * n + k)) * n2 + (k * n + i)
+             for i in range(n) for j in range(n) for k in range(n)]
+    if field == F2:
+        return Tensor.from_sparse(field, n, sum(1 << flat for flat in flats))
+    return Tensor.from_sparse(field, n, dict.fromkeys(flats, field.one))
 
 
 def expand_mask(u: int, v: int, w: int, n2: int) -> int:

@@ -367,6 +367,47 @@ def test_writable_out_check_leaves_files_as_they_were(tmp_path):
     assert cli._unwritable(str(tmp_path)) is not None  # a directory
 
 
+def test_main_builds_its_parser_once_and_answers_as_before(tmp_path, capsys, monkeypatch):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    dec = flatten(rank7_symmetric_form(Q))
+    write_decomposition_file(good, dec)
+    write_decomposition_file(bad, Decomposition(dec.n, dec.field, dec.terms[:-1]))
+    argvs = [
+        ["verify", str(good)],
+        ["verify", str(bad)],
+        ["compile", str(bad)],
+        ["search", "--n", "2", "--field", "F3", "--max-steps", "300",
+         "--out", str(tmp_path / "s.txt")],
+        ["search", "--symmetric", "--max-steps", "50", "--target-rank", "1",
+         "--out", str(tmp_path / "sym.txt")],
+        ["search", "--n", "7"],
+        ["verify"],  # argparse's own usage error
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    fresh = []
+    for argv in argvs:  # a new parser for every call, as main once did
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 1, 1, 0, 3, 2, 2]
+    assert "MISMATCH rank-bound 6\n  at ((" in fresh[1][1] and fresh[2][1] == fresh[1][1]
+    cli._parser.cache_clear()
+    built.clear()
+    assert [run(argv) for argv in argvs] == fresh
+    assert [run(argv) for argv in argvs] == fresh
+    assert len(built) == 1
+
+
 # -- process-level smoke -----------------------------------------------------------------
 
 

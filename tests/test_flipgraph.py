@@ -293,7 +293,7 @@ def test_index_consistency_after_moves():
 def check_groups_after_random_moves(field, rnd):
     w = make_walk(pool_dec(field, 2, 8, rnd))
     w.dirty = set(range(w.T))
-    w._greedy_reduce()
+    w._reduce_all()
     kinds = []
     for _ in range(600):
         kind = rnd.randrange(3)
@@ -316,7 +316,7 @@ def check_groups_after_random_moves(field, rnd):
             if a1 == w.fac[s][t]:
                 continue
             w._plus(t, s, a1)
-        w._greedy_reduce()
+        w._reduce_all()
         kinds.append(kind)
         assert all(len(f) == w.T for f in w.fac)
         assert (w.groups, w.active) == rebuilt_groups(w)

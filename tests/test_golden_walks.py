@@ -4,8 +4,10 @@ Each case pins one walk: the SHA-256 of its trace (generic engine only;
 the symmetric walk records none), its rank, its step count and the
 SHA-256 of the file written from its result.  The values were recorded
 with the walks that carried every scalar as a ``Fraction`` and every
-orbit representative as ``Matrix`` objects; a walk on any other value
-representation must reproduce them byte for byte.
+orbit representative as ``Matrix`` objects (the symmetric "stop" cases
+with the symmetric walk's own step loop, before it ran on the engine's
+schedule); a walk on any other value representation or schedule code
+must reproduce them byte for byte.
 """
 
 import hashlib
@@ -138,37 +140,47 @@ def test_generic_f3_walk_trajectory(tmp_path, name, walk_path):
 
 
 # name: (field, seed, max_steps, plus_budget, patience, verify_every,
-#        rank, steps, file sha).  The "seed" cases change when the walk
-# skips a stabilizer rejection or enumerates the two rotated images of a
-# partner in the other order.
+#        target_rank, rank, steps, file sha).  The "seed" cases change when
+# the walk skips a stabilizer rejection or enumerates the two rotated
+# images of a partner in the other order.  The "stop" cases end on
+# target_rank, on running out of moves with no plus budget, and on an
+# exhausted plus budget above rank 7.
 SYMMETRIC = {
-    "F2": (F2, 1, 2000, 5, 50, 0, 7, 68,
+    "F2": (F2, 1, 2000, 5, 50, 0, None, 7, 68,
           "74f11f83ab50625000054f04c58969405eade5cb2f60d1ba1a86290ee9c13887"),
-    "F2_frequent_plus": (F2, 4, 1500, 1500, 10, 0, 7, 1500,
+    "F2_frequent_plus": (F2, 4, 1500, 1500, 10, 0, None, 7, 1500,
                         "10560e9ace56a67ea8007db76d2a05a98c10cf50d0ea2b84960ac1d7a2062253"),
-    "F3": (F3, 2, 2000, 5, 50, 0, 7, 62,
+    "F3": (F3, 2, 2000, 5, 50, 0, None, 7, 62,
           "51423cb57d38054466ea69ec2db637ccc8178e2bf95d70de88bae578474bb3a0"),
-    "F3_frequent_plus": (F3, 6, 600, 600, 10, 0, 7, 600,
+    "F3_frequent_plus": (F3, 6, 600, 600, 10, 0, None, 7, 600,
                         "9344d22d9b0f96882c7efef4fdcb7de696d7e18aab580a733f1914d86c4dad4a"),
-    "F2_seed7_short": (F2, 7, 300, 300, 5, 0, 7, 300,
+    "F2_seed7_short": (F2, 7, 300, 300, 5, 0, None, 7, 300,
                       "bfb7b69abc4a333602cd77a923be4540957077b115b8c7fc2ffd980e86390351"),
-    "F2_seed8_short": (F2, 8, 300, 300, 5, 0, 7, 300,
+    "F2_seed8_short": (F2, 8, 300, 300, 5, 0, None, 7, 300,
                       "630d5cdd4ad3f3a845e70b80647b80683439665e9fc9769369ffc0df3a37b4fc"),
-    "F3_seed6_few_plus": (F3, 6, 1000, 3, 40, 0, 13, 136,
+    "F3_seed6_few_plus": (F3, 6, 1000, 3, 40, 0, None, 13, 136,
                          "94e5651b9dfeab696a4adf5b605eb6c96d8c0eba993d42a6aad17c1e2ffc5c46"),
-    "F3_seed31_short": (F3, 31, 300, 300, 5, 0, 7, 300,
+    "F3_seed31_short": (F3, 31, 300, 300, 5, 0, None, 7, 300,
                        "d9d4eb9f6243ff54bdfd6d99e7386feeebef554e0b217fba18d5a863833860a3"),
-    "Q": (Q, 3, 800, 5, 50, 0, 7, 800,
+    "Q": (Q, 3, 800, 5, 50, 0, None, 7, 800,
          "c36727a7ffefd5d0b5bc0dc1013f2634e83c7b7b67ea1c4c936de3cf19df810a"),
-    "Q_verify_every_step": (Q, 5, 300, 20, 10, 1, 7, 150,
+    "Q_verify_every_step": (Q, 5, 300, 20, 10, 1, None, 7, 150,
                            "88228604c5cd3d688d8518de58cba35aab66f29a548552ce8662bdcdd4624782"),
+    "F2_stop_target_rank": (F2, 1, 2000, 5, 50, 0, 7, 7, 21,
+                            "74f11f83ab50625000054f04c58969405eade5cb2f60d1ba1a86290ee9c13887"),
+    "F3_stop_no_plus_budget": (F3, 3, 2000, 0, 10, 0, None, 7, 20,
+                               "9344d22d9b0f96882c7efef4fdcb7de696d7e18aab580a733f1914d86c4dad4a"),
+    "F3_stop_plus_exhausted": (F3, 11, 3000, 2, 20, 0, None, 13, 94,
+                               "94e5651b9dfeab696a4adf5b605eb6c96d8c0eba993d42a6aad17c1e2ffc5c46"),
+    "F3_verify_every_step": (F3, 9, 300, 20, 10, 1, None, 7, 116,
+                             "0823a5d02abdeae2f9f4086f9014f5a945659b5e54096f0aca6853bfa7c48365"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIC))
 def test_symmetric_walk_trajectory(tmp_path, name):
-    field, seed, steps, plus, patience, every, rank, n_steps, out_sha = SYMMETRIC[name]
+    field, seed, steps, plus, patience, every, target, rank, n_steps, out_sha = SYMMETRIC[name]
     cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=plus, patience=patience,
-                       verify_every=every)
+                       verify_every=every, target_rank=target)
     res = symmetric_random_walk(matmul_tensor(2, field), naive_symmetric_form(field), cfg)
     assert (res.rank, res.steps, file_sha(tmp_path, res.decomposition)) == (rank, n_steps, out_sha)

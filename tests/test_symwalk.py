@@ -26,11 +26,11 @@ def test_rejects_non_matching_start():
 
 def test_unsound_state_raises_soundness_error():
     walk = _SymWalk(matmul_tensor(2, F2), naive_symmetric_form(F2), SearchConfig(seed=1, max_steps=10))
-    walk._verify()
+    walk._verify_now()
     e00 = Matrix.basis(F2, 2, 0, 0)
-    walk.target = expand_term(RankOneTerm(e00, e00, e00))
+    walk.target = expand_term(RankOneTerm(e00, e00, e00)).sparse()
     with pytest.raises(SoundnessError):
-        walk._verify()
+        walk._verify_now()
 
 
 def test_rank7_form_is_a_local_minimum():

@@ -251,15 +251,30 @@ def test_sparse_expansion_matches_dense_reference(field, n):
         assert many  # some checks really truncate the mismatch list
 
 
+def dense_matmul_coeffs(field, n):
+    """m_n from its definition: 1 exactly at the positions ((i, j), (j, k), (k, i))."""
+    positions = (flat_position(n, f) for f in range(n**6))
+    return [field.one if a[1] == b[0] and b[1] == c[0] and c[1] == a[0] else field.zero
+            for a, b, c in positions]
+
+
 @pytest.mark.parametrize("field", [F2, F3, Q], ids=lambda f: f.name)
 def test_sparse_form_is_cached_and_equals_a_fresh_scan(field):
+    # matmul_tensor and expand_decomposition hand their sparse form over
+    # instead of scanning their coefficients for it
     rnd = random.Random(f"sparse/{field.name}")
-    for n in (1, 2, 3):
-        for t in (matmul_tensor(n, field), expand_decomposition(random_decomposition(field, n, rnd)),
-                  Tensor.zero(field, n)):
+    for n in range(1, 7):
+        m = matmul_tensor(n, field)
+        assert m == Tensor(field, n, dense_matmul_coeffs(field, n))
+        tensors = [m, Tensor.zero(field, n)]
+        if n <= 4:  # random terms are dense enough to be slow to expand above
+            tensors.append(expand_decomposition(random_decomposition(field, n, rnd)))
+        for t in tensors:
             first = t.sparse()
             assert t.sparse() is first
-            fresh = Tensor(field, n, t.coeffs).sparse()
+            rebuilt = Tensor(field, n, t.coeffs)
+            assert list(map(type, t.coeffs)) == list(map(type, rebuilt.coeffs))
+            fresh = rebuilt.sparse()
             assert fresh == first
             if field == F2:
                 assert first == sum(1 << f for f, c in enumerate(t.coeffs) if c)
