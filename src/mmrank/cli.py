@@ -283,6 +283,11 @@ def _random_matrix(field: Field, side: int, rng: Xoshiro256) -> Matrix:
     return Matrix(field, side, ents)
 
 
+# A bench run builds two side x side matrices entry by entry, side = n**depth.
+# Side 1 never grows, so the recursion depth has its own cap.
+BENCH_MAX_SIDE, BENCH_MAX_DEPTH = 256, 8
+
+
 def cmd_bench(args) -> int:
     if args.depth < 0:
         return _fail_usage(f"--depth must be >= 0, got {args.depth}")
@@ -293,6 +298,9 @@ def cmd_bench(args) -> int:
     if prog is None:
         return status
     d = args.depth
+    if d > BENCH_MAX_DEPTH or prog.n**d > BENCH_MAX_SIDE:
+        return _fail_usage(f"--depth {d} gives side {prog.n}**{d}; the caps are "
+                           f"side {BENCH_MAX_SIDE} and depth {BENCH_MAX_DEPTH}")
     ops = prog.count_ops(d)
     naive_mults = (prog.n**3) ** d
     print(f"mults: {ops.multiplications} (naive-recursive: {naive_mults})")

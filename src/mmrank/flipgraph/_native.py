@@ -126,6 +126,9 @@ def walk(p, n, terms, target_words, seed, max_steps, plus_budget, patience,
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    for limit in (max_steps, plus_budget, patience, verify_every, target_rank):
+        if not -1 << 63 <= limit < 1 << 63:  # ctypes would wrap it modulo 2**64
+            raise ValueError(f"native walk limit {limit} does not fit in int64")
     keys = terms if p == 2 else [tuple(map(_f3_key, term)) for term in terms]
     flat = (_U64 * (3 * len(keys)))(*(f for term in keys for f in term))
     target = (_U64 * len(target_words))(*target_words)

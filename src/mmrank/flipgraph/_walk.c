@@ -47,6 +47,7 @@ typedef struct {
     uint64_t *svals[3];     /* per slot: (value, index) pairs sorted by (value, index) */
     int32_t *sidx[3];
     int live[3];            /* pairs held per slot (equals T between moves) */
+    int64_t cand[3];        /* flip candidates per slot: 2m(m-1) summed over its groups of m */
     unsigned char *dirty;   /* terms awaiting the greedy reduction */
     int32_t *forb;          /* forbidden pairs (a, b) with a < b, one per live plus split */
     int forb_n;
@@ -219,8 +220,23 @@ static int pair_pos(const Walk *w, int s, uint64_t val, int idx) {
     return lo;
 }
 
+/* Bounds [*lo, *hi) of the pairs of value val around position pos of slot s. */
+static void group_bounds(const Walk *w, int s, int pos, uint64_t val, int *lo, int *hi) {
+    const uint64_t *vals = w->svals[s];
+    int a = pos, b = pos;
+    while (a > 0 && vals[a - 1] == val)
+        a--;
+    while (b < w->live[s] && vals[b] == val)
+        b++;
+    *lo = a, *hi = b;
+}
+
+/* A pair joining a group of m raises the slot's candidate count by
+ * 2(m+1)m - 2m(m-1) = 4m; one leaving a group of m lowers it by 4(m-1). */
 static void ins_pair(Walk *w, int s, uint64_t val, int idx) {
-    int pos = pair_pos(w, s, val, idx);
+    int pos = pair_pos(w, s, val, idx), lo, hi;
+    group_bounds(w, s, pos, val, &lo, &hi);
+    w->cand[s] += 4 * (int64_t)(hi - lo);
     int tail = w->live[s] - pos;
     memmove(w->svals[s] + pos + 1, w->svals[s] + pos, tail * sizeof(uint64_t));
     memmove(w->sidx[s] + pos + 1, w->sidx[s] + pos, tail * sizeof(int32_t));
@@ -230,7 +246,9 @@ static void ins_pair(Walk *w, int s, uint64_t val, int idx) {
 }
 
 static void del_pair(Walk *w, int s, uint64_t val, int idx) {
-    int pos = pair_pos(w, s, val, idx);
+    int pos = pair_pos(w, s, val, idx), lo, hi;
+    group_bounds(w, s, pos, val, &lo, &hi);
+    w->cand[s] -= 4 * (int64_t)(hi - lo - 1);
     int tail = w->live[s] - pos - 1;
     memmove(w->svals[s] + pos, w->svals[s] + pos + 1, tail * sizeof(uint64_t));
     memmove(w->sidx[s] + pos, w->sidx[s] + pos + 1, tail * sizeof(int32_t));
@@ -303,15 +321,15 @@ static void swap_remove(Walk *w, int x) {
  * forbidden with it, or -1. */
 static int min_partner(const Walk *w, int t) {
     static const int pairs[3][2] = {{0, 1}, {0, 2}, {1, 2}};
-    int best = -1;
+    int lo[3], hi[3], best = -1;
+    for (int s = 0; s < 3; s++) { /* t's group in each slot */
+        uint64_t v = w->fac[s][t];
+        group_bounds(w, s, pair_pos(w, s, v, t), v, &lo[s], &hi[s]);
+    }
     for (int p = 0; p < 3; p++) {
         int sa = pairs[p][0], sb = pairs[p][1];
-        uint64_t va = w->fac[sa][t], vb = w->fac[sb][t];
-        int a0 = pair_pos(w, sa, va, 0), a1 = pair_pos(w, sa, va, INT32_MAX);
-        if (a1 - a0 < 2)
-            continue;
-        int b0 = pair_pos(w, sb, vb, 0), b1 = pair_pos(w, sb, vb, INT32_MAX);
-        if (b1 - b0 < 2)
+        int a0 = lo[sa], a1 = hi[sa], b0 = lo[sb], b1 = hi[sb];
+        if (a1 - a0 < 2 || b1 - b0 < 2)
             continue;
         int ia = a0, ib = b0;
         while (ia < a1 && ib < b1) {
@@ -371,19 +389,7 @@ static int greedy_reduce(Walk *w) {
 /* -- flips --------------------------------------------------------------------- */
 
 static int64_t count_candidates(const Walk *w) {
-    int64_t total = 0;
-    for (int s = 0; s < 3; s++) {
-        const uint64_t *vals = w->svals[s];
-        int nlive = w->live[s], pos = 0;
-        while (pos < nlive) {
-            int run = 1;
-            while (pos + run < nlive && vals[pos + run] == vals[pos])
-                run++;
-            total += 2 * (int64_t)run * (run - 1);
-            pos += run;
-        }
-    }
-    return total;
+    return w->cand[0] + w->cand[1] + w->cand[2];
 }
 
 static int apply_flip(Walk *w, int i, int j, int s, int o) {
@@ -412,6 +418,10 @@ static int apply_flip(Walk *w, int i, int j, int s, int o) {
 /* Apply flip candidate k of count_candidates' enumeration. */
 static int apply_flip_at(Walk *w, int64_t k) {
     for (int s = 0; s < 3; s++) {
+        if (k >= w->cand[s]) {
+            k -= w->cand[s];
+            continue;
+        }
         const uint64_t *vals = w->svals[s];
         int nlive = w->live[s], pos = 0;
         while (pos < nlive) {

@@ -263,9 +263,11 @@ class _Walk(_Schedule):
                 self.fac[2].append(c)
         self.T = len(self.fac[0])
         # groups[s]: factor value -> ascending term indices carrying it;
-        # active[s]: (sort key, value) pairs for groups of size >= 2.
+        # active[s]: (sort key, value) pairs for groups of size >= 2;
+        # cand[s]: slot s's flip candidates, 2m(m-1) summed over its groups of m.
         self.groups = ({}, {}, {})
         self.active = ([], [], [])
+        self.cand = [0, 0, 0]
         for s in range(3):
             for t in range(self.T):
                 self._ins(s, self.fac[s][t], t)
@@ -275,19 +277,23 @@ class _Walk(_Schedule):
     # -- index maintenance -------------------------------------------------
 
     def _ins(self, s, val, idx):
+        # joining a group of m adds 2(m+1)m - 2m(m-1) = 4m candidates
         g = self.groups[s].get(val)
         if g is None:
             self.groups[s][val] = [idx]
         else:
+            self.cand[s] += 4 * len(g)
             insort(g, idx)
             if len(g) == 2:
                 insort(self.active[s], (self.k.key(val), val))
 
     def _del(self, s, val, idx):
+        # leaving a group of m removes 4(m-1) candidates
         g = self.groups[s][val]
         if len(g) == 1:
             del self.groups[s][val]
         else:
+            self.cand[s] -= 4 * (len(g) - 1)
             g.remove(idx)
             if len(g) == 1:
                 self.active[s].remove((self.k.key(val), val))
@@ -324,16 +330,13 @@ class _Walk(_Schedule):
     # -- flips ---------------------------------------------------------------
 
     def _count_candidates(self) -> int:
-        total = 0
-        for s in range(3):
-            groups = self.groups[s]
-            for _, val in self.active[s]:
-                m = len(groups[val])
-                total += 2 * m * (m - 1)
-        return total
+        return sum(self.cand)
 
     def _apply_flip_at(self, k) -> bool:
         for s in range(3):
+            if k >= self.cand[s]:
+                k -= self.cand[s]
+                continue
             groups = self.groups[s]
             for _, val in self.active[s]:
                 g = groups[val]

@@ -30,6 +30,8 @@ _walk_ext = None if os.environ.get("MMRANK_NO_EXT") or not _native.load() else _
 HAVE_COMPILED = _walk_ext is not None
 
 MASK64 = (1 << 64) - 1
+INT64_MAX = (1 << 63) - 1  # walk limits cross into the native kernel as int64
+MAX_RESTARTS = 100_000  # restart jobs are built up front
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,8 @@ class SearchConfig:
     a plus move is attempted; ``verify_every`` of 0 checks expansion only
     at the end; ``target_rank`` stops a walk early once its best rank
     bound is that low (the merged search reports budget exhaustion if it
-    was never reached).
+    was never reached).  Every limit is at most ``INT64_MAX`` and
+    ``restarts`` at most ``MAX_RESTARTS``.
     """
 
     seed: int
@@ -52,12 +55,16 @@ class SearchConfig:
     target_rank: int | None = None
 
     def __post_init__(self):
-        for name, low in (("max_steps", 1), ("restarts", 1), ("plus_budget", 0),
-                          ("verify_every", 0), ("patience", 0)):
-            if getattr(self, name) < low:
+        for name, low, high in (("max_steps", 1, INT64_MAX), ("restarts", 1, MAX_RESTARTS),
+                                ("plus_budget", 0, INT64_MAX), ("verify_every", 0, INT64_MAX),
+                                ("patience", 0, INT64_MAX), ("target_rank", 0, INT64_MAX)):
+            value = getattr(self, name)
+            if value is None:  # target_rank: no early stop
+                continue
+            if value < low:
                 raise ValueError(f"{name} must be >= {low}")
-        if self.target_rank is not None and self.target_rank < 0:
-            raise ValueError("target_rank must be >= 0")
+            if value > high:
+                raise ValueError(f"{name} must be <= {high}")
 
 
 @dataclass(frozen=True)
@@ -142,11 +149,13 @@ def best_of_restarts(walk, target, start, cfg: SearchConfig, workers: int = 1):
     ``walk(target, start, cfg)`` must be a module-level
     function (pool workers receive it by name) returning a result with a
     ``rank``.  Results merge by (rank, restart index), so the answer is
-    identical for any worker count.
+    identical for any worker count; the pool never exceeds the restarts
+    or the CPUs.
     """
     jobs = [(walk, target, start, cfg, k) for k in range(cfg.restarts)]
-    if workers > 1 and cfg.restarts > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.restarts)) as pool:
+    workers = min(workers, cfg.restarts, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_restart, jobs))
     else:
         results = [_one_restart(j) for j in jobs]

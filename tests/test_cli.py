@@ -168,6 +168,7 @@ def test_symmetric_search_result_does_not_depend_on_workers(tmp_path, capsys, mo
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(walk, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(walk.os, "cpu_count", lambda: 2)  # the pool never exceeds the CPUs
     # restarts 0-2 (seeds 44-46) stay at rank 13; restarts 3 and 4 reach 7,
     # and the tie goes to the earlier restart
     args = ["search", "--symmetric", "--field", "F3", "--seed", "44", "--max-steps", "30",
@@ -308,7 +309,12 @@ def test_compile_and_bench(tmp_path, capsys):
     ["search", "--workers", "0"],
     ["search", "--patience", "-1"],
     ["search", "--target-rank", "-1"],
+    *(["search", f"--{flag}", str(value)]
+      for flag in ("max-steps", "plus-budget", "patience", "target-rank")
+      for value in (2**63, 2**64 + 40)),
+    ["search", "--restarts", "100001"],
     ["bench", "SEVEN", "--depth", "-1"],
+    ["bench", "SEVEN", "--depth", "9"],  # side 2**9 = 512
 ], ids=" ".join)
 def test_out_of_range_argument_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from mmrank.fields import F2, PrimeField, Q
-from mmrank.flipgraph import SearchConfig, SearchResult, _native, packing, random_walk, search
+from mmrank.flipgraph import SearchConfig, SearchResult, _native, packing, random_walk, search, walk
 from mmrank.flipgraph.engine import _OTHER_SLOTS, GenericKernel, PackedF2Kernel, _Walk, run_walk
 from mmrank.flipgraph.walk import _from_kernel_terms, _kernel_for, _to_kernel_terms
 from mmrank.proof import rank7_symmetric_form
@@ -319,7 +320,10 @@ def check_groups_after_random_moves(field, rnd):
         w._reduce_all()
         kinds.append(kind)
         assert all(len(f) == w.T for f in w.fac)
-        assert (w.groups, w.active) == rebuilt_groups(w)
+        groups, active = rebuilt_groups(w)
+        assert (w.groups, w.active) == (groups, active)
+        assert w.cand == [sum(2 * len(g) * (len(g) - 1) for g in groups[s].values())
+                          for s in range(3)]
         assert not w.dirty and all(max(p) < w.T for p in w.forbidden)
         # greedy reduction left no mergeable pair but the split halves
         assert all(agreements(w, a, b) < 2 or (a, b) in w.forbidden
@@ -368,9 +372,14 @@ def test_walk_requires_verified_start():
                                    "verify_every", "patience", "target_rank"])
 def test_search_config_rejects_out_of_range(field):
     low = {"max_steps": 1, "restarts": 1}.get(field, 0)
+    high = 100_000 if field == "restarts" else 2**63 - 1
     SearchConfig(**{"seed": 1, "max_steps": 1, field: low})
+    SearchConfig(**{"seed": 1, "max_steps": 1, field: high})
     with pytest.raises(ValueError, match=f"{field} must be >= {low}"):
         SearchConfig(**{"seed": 1, "max_steps": 1, field: low - 1})
+    for value in (high + 1, 2**64 + 40):
+        with pytest.raises(ValueError, match=f"{field} must be <= {high}"):
+            SearchConfig(**{"seed": 1, "max_steps": 1, field: value})
 
 
 def test_walk_m1_is_already_minimal():
@@ -483,6 +492,28 @@ def test_compiled_engine_matches_pure_across_words(native, n, steps):
     res = assert_backends_agree(target, start, cfg)
     assert res.steps == steps
     assert {k for (k, *_r) in res.trace} == {"flip", "reduce", "plus"}
+
+
+def test_compiled_engine_matches_pure_at_side_6(native):
+    # the largest F2 side with its own tensor: the largest groups, and factors
+    # reaching bit 35
+    target = matmul_tensor(6, F2)
+    cfg = SearchConfig(seed=6, max_steps=300, plus_budget=300, patience=3)
+    res = assert_backends_agree(target, standard_decomposition(6, F2), cfg)
+    assert res.steps == 300
+    assert {k for (k, *_r) in res.trace} == {"flip", "reduce", "plus"}
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("limit", ["plus_budget", "patience", "target_rank"])
+def test_compiled_engine_matches_pure_at_int64_limits(native, field, limit):
+    kernel = _kernel_for(field, 3)
+    terms = _to_kernel_terms(kernel, standard_decomposition(3, field))
+    target = matmul_tensor(3, field).sparse()
+    limits = dict(seed=1, max_steps=300, plus_budget=50, patience=2, collect_trace=True)
+    limits[limit] = walk.INT64_MAX
+    assert _native.run_walk(kernel, terms, target, **limits) == run_walk(
+        kernel, terms, target, **limits)
 
 
 def test_compiled_engine_matches_pure_verifying_every_step(native):
@@ -671,6 +702,35 @@ def test_plus_budget_is_respected():
     cfg0 = SearchConfig(seed=8, max_steps=20000, plus_budget=0, patience=25)
     trace0 = random_walk(m2, start, cfg0, collect_trace=True).trace
     assert all(k != "plus" for (k, *_r) in trace0)
+
+
+def test_pool_never_exceeds_restarts_or_cpus(monkeypatch):
+    pools = []
+
+    class SerialPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(walk, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(walk.os, "cpu_count", lambda: 4)
+    m2 = matmul_tensor(2, F2)
+    start = standard_decomposition(2, F2)
+    cfg = SearchConfig(seed=50, max_steps=300, plus_budget=3, restarts=3)
+    results = [search(m2, start, cfg, workers=w) for w in (1, 2, 10**6)]
+    search(m2, start, replace(cfg, restarts=6), workers=10**6)
+    monkeypatch.setattr(walk.os, "cpu_count", lambda: None)  # unknown: one process
+    results.append(search(m2, start, cfg, workers=10**6))
+    assert pools == [2, 3, 4]
+    assert all(r == results[0] for r in results)
 
 
 def test_search_restarts_and_worker_independence():

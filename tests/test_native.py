@@ -92,6 +92,49 @@ def test_failed_build_prunes_nothing(tmp_path, monkeypatch):
     assert sorted((tmp_path / "mmrank").iterdir()) == stale
 
 
+SANITIZED_WALKS = """
+import subprocess, sys
+from mmrank.fields import F2, PrimeField
+from mmrank.flipgraph import _native
+from mmrank.flipgraph.walk import _kernel_for, _to_kernel_terms
+from mmrank.tensors import matmul_tensor, standard_decomposition
+
+_native.COMPILE += ("-fsanitize=undefined,bounds", "-fno-sanitize-recover=all")
+try:
+    _native._library(_native.SOURCE.read_bytes())
+except (OSError, subprocess.SubprocessError) as exc:
+    print("the sanitizer build failed:", exc, (getattr(exc, "stderr", None) or b"")[-300:])
+    sys.exit(77)
+if not _native.load():
+    print("the sanitizer build did not load")
+    sys.exit(77)
+_native._first_cap = lambda n_terms: n_terms  # every walk outgrows its first state
+for field in (F2, PrimeField(3)):
+    for n in (3, 5):
+        kernel = _kernel_for(field, n)
+        terms = _to_kernel_terms(kernel, standard_decomposition(n, field))
+        target = matmul_tensor(n, field).sparse()
+        limits = dict(seed=n, max_steps=400, plus_budget=400, patience=3, verify_every=7,
+                      collect_trace=True)
+        out = _native.run_walk(kernel, terms, target, **limits)
+        assert len(out.final_terms) > len(terms), "the state did not grow"
+print("ok")
+"""
+
+
+@needs_cc
+def test_kernel_runs_clean_under_ubsan(tmp_path, cli_env):
+    # MMRANK_NO_EXT keeps the import from caching the plain build under the
+    # same source hash; the script then builds and loads the sanitized one
+    env = child_env(cli_env, tmp_path / "cache", MMRANK_NO_EXT="1")
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_WALKS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode == 77:
+        pytest.skip(f"cc cannot build the kernel with UBSan: {proc.stdout.strip()}")
+    assert "runtime error" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
 def m3_packed():
     start = packing.pack_terms(standard_decomposition(3, F2))
     target = packing.tensor_to_int(matmul_tensor(3, F2))
@@ -150,6 +193,12 @@ def test_native_walk_rejects_bad_arguments(native):
         _native.walk_f2(3, start, words[:-1], 1, 100, 0, 10, 0, -1, False)
     with pytest.raises(ValueError, match="rejected"):  # a factor wider than n*n bits
         _native.walk_f2(3, [(1 << 9, 1, 1)] + start, words, 1, 100, 0, 10, 0, -1, False)
+    for value in (2**63, 2**64 + 40):  # ctypes would wrap these
+        for at in range(5):  # max_steps, plus_budget, patience, verify_every, target_rank
+            limits = [100, 0, 10, 0, -1]
+            limits[at] = value
+            with pytest.raises(ValueError, match="does not fit in int64"):
+                _native.walk_f2(3, start, words, 1, *limits, False)
 
 
 def m2_f3():
