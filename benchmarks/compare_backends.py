@@ -1,8 +1,8 @@
 """Benchmark the walk backends and the exact walks.
 
 Over F2 and F3 the native kernel (``_native.run_walk``) and the pure
-engine (``engine.run_walk``, with ``PackedF2Kernel`` over F2 and
-``GenericKernel`` over F3) run on the same terms; they follow one
+engine (``engine.run_walk`` with ``GenericKernel``, whose factors are
+entry tuples in both fields) run on the same terms; they follow one
 trajectory contract, so their traces, best and final terms are asserted
 identical, and only the speed differs.  The other exact walks (the
 generic engine over Q, the symmetric walk over F2 and F3) have one

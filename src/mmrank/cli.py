@@ -97,10 +97,15 @@ def parse_term_spec(spec: str, field: Field, n: int) -> RankOneTerm:
 # -- commands ------------------------------------------------------------------
 
 
-def _verify_file(dec):
-    """(plain decomposition, verify result) of a read file; prints a mismatch."""
+def _verify_file(dec, target=None):
+    """(plain decomposition, verify result) of a read file; prints a mismatch.
+
+    ``target`` is the file's multiplication tensor when the caller has it.
+    """
     plain = flatten(dec) if isinstance(dec, SymmetricDecomposition) else dec
-    res = verify(plain, matmul_tensor(plain.n, plain.field))
+    if target is None:
+        target = matmul_tensor(plain.n, plain.field)
+    res = verify(plain, target)
     if not res.ok:
         print(f"MISMATCH rank-bound {res.rank_bound}")
         for p in res.mismatches:
@@ -190,6 +195,8 @@ def cmd_search(args) -> int:
         )
     except ValueError as exc:
         return _fail_usage(str(exc))
+    if start is not None and not _verify_file(start, target)[1].ok:
+        return ExitStatus.MISMATCH
     out = args.out or f"search_m{n}_{field.name}_seed{args.seed}.txt"
     reason = _unwritable(out)  # before the walk, which may run for hours
     if reason is not None:

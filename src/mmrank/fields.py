@@ -94,9 +94,6 @@ class Field:
             return value
         return FieldElement(self, self.coerce(value))
 
-    def parse(self, text: str) -> "FieldElement":
-        return FieldElement(self, self.parse_raw(text))
-
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
 

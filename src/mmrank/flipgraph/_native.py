@@ -1,9 +1,9 @@
 """Loader and caller of the native walk kernel in ``_walk.c``, over F2 and F3.
 
 :func:`run_walk` is :func:`engine.run_walk` on the kernel, for the
-engine kernels :func:`handles` accepts (packed F2, and F3 up to side 6);
-:func:`walk_f2` and :func:`walk_f3` take the target as words.  Over F3 a
-factor crosses into C as its base-3 key, sum x_i 3**i.
+engine kernels :func:`handles` accepts (F2 and F3 up to side 6);
+:func:`walk_f2` and :func:`walk_f3` take the target as words.  A factor
+over F_p crosses into C as its key sum x_i p**i.
 
 :func:`load` builds the kernel with the system ``cc`` on a cache miss and
 binds it with ``ctypes``.  The library is cached per user as
@@ -25,10 +25,10 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
-from ..fields import PrimeField
+from ..fields import F2, PrimeField
 from ..tensors import pack_bits
 from . import packing
-from .engine import GenericKernel, PackedF2Kernel, SoundnessError, WalkOutcome
+from .engine import GenericKernel, SoundnessError, WalkOutcome
 
 SOURCE = Path(__file__).with_name("_walk.c")
 COMPILE = ("cc", "-O2", "-std=c99", "-shared", "-fPIC")
@@ -38,6 +38,7 @@ _U64, _I64 = ctypes.c_uint64, ctypes.c_int64
 _U64P = ctypes.POINTER(_U64)
 
 F3 = PrimeField(3)
+_DIGITS = b"012".ljust(256, b"x")  # entry byte -> digit; "x" is no digit in base 2 or 3
 
 _kernel = _free = None  # mmrank_walk and mmrank_free, once load() succeeded
 
@@ -82,13 +83,11 @@ def load() -> bool:
 
 
 def handles(kernel) -> bool:
-    """Whether the kernel walks for this engine kernel: packed F2, or F3 up to side 6.
+    """Whether the kernel walks for this engine kernel: F2 or F3, up to side 6.
 
-    An F3 factor's key sum x_i 3**i is below 3**36 < 2**63 only while n <= 6.
+    A factor's key sum x_i p**i is below 3**36 < 2**63 only while n <= 6.
     """
-    if isinstance(kernel, PackedF2Kernel):
-        return True
-    return isinstance(kernel, GenericKernel) and kernel.field == F3 and kernel.n <= 6
+    return kernel.field in (F2, F3) and kernel.n <= 6
 
 
 def _first_cap(n_terms):
@@ -96,28 +95,16 @@ def _first_cap(n_terms):
     return 2 * n_terms + 64
 
 
-def _triples(flat, count):
-    flat = flat[:3 * count]
+def _triples(flat):
     return list(zip(flat[0::3], flat[1::3], flat[2::3]))
-
-
-def _f3_key(entries) -> int:
-    """The key sum x_i 3**i of F3 entries; ValueError for an entry outside 0..2."""
-    key = 0
-    for x in reversed(entries):
-        if x not in (0, 1, 2):
-            raise ValueError("native walk rejected its arguments: F3 entry outside 0..2")
-        key = 3 * key + x
-    return key
 
 
 def walk(p, n, terms, target_words, seed, max_steps, plus_budget, patience,
          verify_every, target_rank, collect_trace):
     """One walk over F_p, p = 2 or 3; see mmrank.flipgraph.engine for the contract.
 
-    Terms are ``(u, v, w)`` triples of factors in the engine kernel's form:
-    n*n-bit masks over F2 (``PackedF2Kernel``), entry tuples over F3
-    (``GenericKernel``).  ``target_words`` is the target tensor as
+    Terms are ``(u, v, w)`` triples of entry tuples, the factors of
+    ``GenericKernel``.  ``target_words`` is the target tensor as
     little-endian words of ``packing.int_to_words``: over F2 one plane, over
     F3 the plane of coefficients equal to 1 and then the plane of those
     equal to 2 (see :func:`target_words`).  Returns ``(best, best_rank,
@@ -129,20 +116,23 @@ def walk(p, n, terms, target_words, seed, max_steps, plus_budget, patience,
     for limit in (max_steps, plus_budget, patience, verify_every, target_rank):
         if not -1 << 63 <= limit < 1 << 63:  # ctypes would wrap it modulo 2**64
             raise ValueError(f"native walk limit {limit} does not fit in int64")
-    keys = terms if p == 2 else [tuple(map(_f3_key, term)) for term in terms]
-    flat = (_U64 * (3 * len(keys)))(*(f for term in keys for f in term))
+    try:  # the key sum x_i p**i; int() rejects an entry outside 0..p-1
+        keys = [int(bytes(reversed(f)).translate(_DIGITS), p) for term in terms for f in term]
+    except ValueError:
+        raise ValueError(f"native walk rejected its arguments: entry outside 0..{p - 1}") from None
+    flat = (_U64 * len(keys))(*keys)
     target = (_U64 * len(target_words))(*target_words)
     # Only a plus move adds a term, and it costs a step, so the live terms
     # never exceed `bound`; each reduction removes a term, so a trace holds
     # at most max_steps + bound records.  The state starts smaller and the
     # kernel grows it: sized from `bound` alone, it would take gigabytes at
     # budgets of 10**9.
-    bound = len(keys) + min(plus_budget, max_steps)
+    bound = len(terms) + min(plus_budget, max_steps)
     trace_cap = max_steps + bound if collect_trace else 0
     trace = (ctypes.c_int32 * (5 * trace_cap))() if collect_trace else None
-    best, final, counts = (_U64 * (3 * len(keys)))(), _U64P(), (_I64 * 5)()
-    status = _kernel(p, n, flat, len(keys), target, len(target_words), seed, max_steps,
-                     plus_budget, patience, verify_every, target_rank, _first_cap(len(keys)),
+    best, final, counts = (_U64 * len(keys))(), _U64P(), (_I64 * 5)()
+    status = _kernel(p, n, flat, len(terms), target, len(target_words), seed, max_steps,
+                     plus_budget, patience, verify_every, target_rank, _first_cap(len(terms)),
                      best, ctypes.byref(final), trace, trace_cap, counts)
     if status == _UNSOUND:
         raise SoundnessError("walk state no longer expands to the target")
@@ -152,15 +142,14 @@ def walk(p, n, terms, target_words, seed, max_steps, plus_budget, patience,
         raise ValueError("native walk rejected its arguments")
     best_rank, steps, final_count, trace_len = counts[:4]
     try:
-        final_terms = _triples(final, final_count)
+        final_keys = final[:3 * final_count]
     finally:
         _free(final)
-    best_terms = _triples(best, best_rank)
-    if p == 3:
-        decode = GenericKernel(F3, n).decode_draw  # a key's base-3 digits
-        best_terms, final_terms = (
-            [tuple(map(decode, term)) for term in triples]
-            for triples in (best_terms, final_terms))
+    best_keys = best[:3 * best_rank]
+    decode = GenericKernel(PrimeField(p), n).decode_draw  # a key's base-p digits
+    factor = {x: decode(x) for x in {*best_keys, *final_keys}}  # terms share factors
+    best_terms, final_terms = (
+        _triples([factor[x] for x in keys]) for keys in (best_keys, final_keys))
     records = None
     if collect_trace:
         rows = trace[:5 * trace_len]
@@ -178,7 +167,7 @@ walk_f3 = partial(walk, 3)
 def target_words(kernel, target) -> list[int]:
     """``target``, as ``target.sparse()`` gives it, in the layout :func:`walk` takes."""
     bits = kernel.n ** 6
-    if isinstance(kernel, PackedF2Kernel):
+    if kernel.field == F2:  # an F2 tensor's sparse form is already its one plane
         return packing.int_to_words(target, bits)
     planes = (bytearray(bits), bytearray(bits))
     for flat, c in target.items():
@@ -190,7 +179,7 @@ def run_walk(kernel, start_terms, target, *, seed, max_steps, plus_budget=0,
              patience=1000, verify_every=0, target_rank=None,
              collect_trace=False) -> WalkOutcome:
     """:func:`engine.run_walk` on the native kernel, for a kernel it :func:`handles`."""
-    walk_fp = walk_f2 if isinstance(kernel, PackedF2Kernel) else walk_f3
+    walk_fp = walk_f2 if kernel.field == F2 else walk_f3
     best, best_rank, steps, final, trace = walk_fp(
         kernel.n, start_terms, target_words(kernel, target), seed, max_steps, plus_budget,
         patience, verify_every, -1 if target_rank is None else target_rank, collect_trace)

@@ -11,9 +11,9 @@ walk is a pure function of (terms, target, seed, limits):
 
 * Flip candidates: for slots 0, 1, 2 in order, group the terms by their
   exact factor in that slot; visit groups in increasing factor order
-  (packed F2 factors compare as integers, generic factors compare by
-  their entry sequence read from the last entry down, which matches the
-  packed order on F2); inside a group of m >= 2 members, visit ordered
+  (factors compare by their entry sequence read from the last entry
+  down, which over F2 and F3 is the order of the integer sum
+  x_i p**i); inside a group of m >= 2 members, visit ordered
   index pairs (members ascending, first index major) and then the two
   orientations.  One uniform draw below the total count picks the flip.
 
@@ -51,8 +51,8 @@ no reduction: ``_flip(i, j, s, o)``, ``_merge(a, b)`` for a given pair
 and ``_plus(t, s, a1)`` for a given split; ``_reduce_all`` merges
 through ``_merge``.
 
-Factors are plain Python values: packed ints over F2, tuples of raw
-scalars otherwise.  Over Q an integral scalar is an ``int`` and only a
+Factors are plain Python values, tuples of raw scalars in every field.
+Over Q an integral scalar is an ``int`` and only a
 non-integral one a ``Fraction`` (see :class:`GenericKernel`); since equal
 values of the two types hash, compare and order alike, the trajectory
 is the one an all-``Fraction`` state would follow.
@@ -65,38 +65,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add, sub as _sub
 
-from ..fields import F2, Field, PrimeField
+from ..fields import Field, PrimeField
 from ..rng import Xoshiro256
 from ..tensors import sparse_expansion
 
 _OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
 _SLOT_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-class PackedF2Kernel:
-    """Factors are n*n-bit ints over F2; add and sub are XOR."""
-
-    field = F2
-
-    def __init__(self, n: int):
-        self.n = n
-        self.n2 = n * n
-        self.zero = 0
-        self.space = 1 << self.n2
-
-    @staticmethod
-    def add(a, b):
-        return a ^ b
-
-    sub = add
-
-    @staticmethod
-    def key(a):
-        return a
-
-    @staticmethod
-    def decode_draw(x):
-        return x
 
 
 class GenericKernel:

@@ -3,9 +3,10 @@
 A matrix over F2 packs into an n*n-bit integer with bit i*n+j holding
 entry (i, j); with n <= 6 a factor fits in 36 bits and a full order-3
 tensor in n**6 <= 46656 bits.  Addition is XOR, and the expansion of a
-rank-one term is an OR-free scatter of the third factor, so the search
-engines can work on plain integers.  ``expand_mask`` lives in
-``tensors``, which verifies with it, and is re-exported here.
+rank-one term is an OR-free scatter of the third factor.  The walks keep
+F2 factors as entry tuples; of this module they use only
+:func:`int_to_words`, for the native kernel's target.  ``expand_mask``
+lives in ``tensors``, which verifies with it, and is re-exported here.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from __future__ import annotations
 from ..symmetry import OrbitTerm, StabilizerTag, SymmetricDecomposition
 from ..tensors import Matrix, RankOneTerm, Tensor, sparse_expansion
 from .engine import _OTHER_SLOTS, GenericKernel, SoundnessError, _Schedule
-from .walk import MASK64, SearchConfig, SearchResult, best_of_restarts
+from .walk import SearchConfig, SearchResult, best_of_restarts
 
 _SLOTS = (0, 1, 2)
 
@@ -83,7 +83,7 @@ class _SymWalk(_Schedule):
     def __init__(self, target: Tensor, start: SymmetricDecomposition, cfg: SearchConfig):
         if start.n != target.n or start.field != target.field:
             raise ValueError("start and target have different shape or field")
-        self.seed = cfg.seed & MASK64
+        self.seed = cfg.seed
         super().__init__(
             GenericKernel(start.field, start.n), target.sparse(),
             seed=self.seed, max_steps=cfg.max_steps, plus_budget=cfg.plus_budget,

@@ -3,9 +3,9 @@
 ``random_walk`` runs one trajectory; ``search`` runs ``cfg.restarts``
 trajectories with seeds ``cfg.seed + k`` (optionally on worker processes;
 the merged answer never depends on the worker count); its restart
-merging, :func:`best_of_restarts`, serves the symmetric walk too.  Over
-F2 the walk runs on bit-packed terms, elsewhere on tuples of raw scalars
-(see :mod:`engine`).  Over F2 and F3 the native kernel (``_walk.c``,
+merging, :func:`best_of_restarts`, serves the symmetric walk too.  In
+every field the walk runs on tuples of raw scalars (see :mod:`engine`).
+Over F2 and F3 the native kernel (``_walk.c``,
 built with the system C compiler) walks when it loaded, the pure engine
 otherwise; Q and other primes always use the pure engine.  Trajectories
 are a pure function of (target, start, config).
@@ -17,11 +17,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from ..fields import F2, Field
+from ..fields import Field
 from ..symmetry import SymmetricDecomposition
 from ..tensors import Decomposition, Matrix, RankOneTerm, Tensor, verify
-from . import _native, packing
-from .engine import GenericKernel, PackedF2Kernel, run_walk
+from . import _native
+from .engine import GenericKernel, run_walk
 
 # The native kernel over F2 and F3, built with the system cc on first import
 # (see _native); optional by design, and MMRANK_NO_EXT=1 forces the pure path.
@@ -42,8 +42,8 @@ class SearchConfig:
     a plus move is attempted; ``verify_every`` of 0 checks expansion only
     at the end; ``target_rank`` stops a walk early once its best rank
     bound is that low (the merged search reports budget exhaustion if it
-    was never reached).  Every limit is at most ``INT64_MAX`` and
-    ``restarts`` at most ``MAX_RESTARTS``.
+    was never reached).  ``seed`` lies in 0..``MASK64``, every limit is at
+    most ``INT64_MAX`` and ``restarts`` at most ``MAX_RESTARTS``.
     """
 
     seed: int
@@ -55,7 +55,8 @@ class SearchConfig:
     target_rank: int | None = None
 
     def __post_init__(self):
-        for name, low, high in (("max_steps", 1, INT64_MAX), ("restarts", 1, MAX_RESTARTS),
+        for name, low, high in (("seed", 0, MASK64),
+                                ("max_steps", 1, INT64_MAX), ("restarts", 1, MAX_RESTARTS),
                                 ("plus_budget", 0, INT64_MAX), ("verify_every", 0, INT64_MAX),
                                 ("patience", 0, INT64_MAX), ("target_rank", 0, INT64_MAX)):
             value = getattr(self, name)
@@ -82,19 +83,16 @@ class SearchResult:
 
 
 def _kernel_for(field: Field, n: int):
-    return PackedF2Kernel(n) if field == F2 else GenericKernel(field, n)
+    return GenericKernel(field, n)
 
 
 def _to_kernel_terms(kernel, dec: Decomposition):
-    if isinstance(kernel, PackedF2Kernel):
-        return packing.pack_terms(dec)
     lift = kernel.lift
     return [(lift(t.u.entries), lift(t.v.entries), lift(t.w.entries)) for t in dec.terms]
 
 
-def _from_kernel_terms(kernel, field: Field, n: int, terms) -> tuple[RankOneTerm, ...]:
-    if isinstance(kernel, PackedF2Kernel):
-        return packing.unpack_terms(n, terms)
+def _from_kernel_terms(kernel, terms) -> tuple[RankOneTerm, ...]:
+    field, n = kernel.field, kernel.n
     return tuple(
         RankOneTerm(Matrix(field, n, u), Matrix(field, n, v), Matrix(field, n, w))
         for (u, v, w) in terms
@@ -113,15 +111,13 @@ def random_walk(target: Tensor, start: Decomposition, cfg: SearchConfig,
     if not pre.ok:
         raise ValueError("start decomposition does not expand to the target")
 
-    field, n = start.field, start.n
-    kernel = _kernel_for(field, n)
+    kernel = _kernel_for(start.field, start.n)
     run = _walk_ext.run_walk if HAVE_COMPILED and _native.handles(kernel) else run_walk
-    seed = cfg.seed & MASK64
     outcome = run(
         kernel,
         _to_kernel_terms(kernel, start),
         target.sparse(),
-        seed=seed,
+        seed=cfg.seed,
         max_steps=cfg.max_steps,
         plus_budget=cfg.plus_budget,
         patience=cfg.patience,
@@ -129,12 +125,11 @@ def random_walk(target: Tensor, start: Decomposition, cfg: SearchConfig,
         target_rank=cfg.target_rank,
         collect_trace=collect_trace,
     )
-    terms = _from_kernel_terms(kernel, field, n, outcome.best_terms)
-    best = Decomposition(n, field, terms)
+    best = Decomposition(start.n, start.field, _from_kernel_terms(kernel, outcome.best_terms))
     post = verify(best, target)
     if not post.ok:
         raise AssertionError("search returned a decomposition that fails verification")
-    return SearchResult(best, outcome.best_rank, outcome.steps, seed, outcome.trace)
+    return SearchResult(best, outcome.best_rank, outcome.steps, cfg.seed, outcome.trace)
 
 
 def _one_restart(args):

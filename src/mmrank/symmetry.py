@@ -42,10 +42,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return GroupElement((-self.rot) % 3, self.flip)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.rot == 0 and self.flip == 0
-
     def __str__(self):
         return f"pi^{self.rot} tau^{self.flip}"
 

@@ -375,7 +375,7 @@ def sparse_expansion(field: Field, n: int, triples):
     """Exact sum of u (x) v (x) w over (u, v, w) triples of raw entries.
 
     Over F2: an int, bit ``flat`` holding that coefficient, XORed from
-    packed expansions (a factor may be given packed).  Elsewhere: a dict
+    the expansions of the packed factors.  Elsewhere: a dict
     from flat index to nonzero raw coefficient, scattered with + and * and
     normalized once by ``field.coerce``.  Costs sum nnz(u)*nnz(v)*nnz(w).
     """
@@ -383,7 +383,7 @@ def sparse_expansion(field: Field, n: int, triples):
     if field == F2:
         acc = 0
         for t in triples:
-            acc ^= expand_mask(*(f if isinstance(f, int) else pack_bits(f) for f in t), n2)
+            acc ^= expand_mask(*map(pack_bits, t), n2)
         return acc
     n4 = n2 * n2
     acc = {}

@@ -207,6 +207,35 @@ def test_search_from_start_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+def test_search_start_missing_its_target_is_a_mismatch(symmetric, tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class StubPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+    monkeypatch.setattr(walk, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(walk.os, "cpu_count", lambda: 2)
+    monkeypatch.chdir(tmp_path)
+    sym = rank7_symmetric_form(Q)
+    if symmetric:
+        bad = SymmetricDecomposition(sym.n, sym.field, sym.orbit_terms[:-1])
+    else:
+        plain = flatten(sym)
+        bad = Decomposition(plain.n, plain.field, plain.terms[:-1])
+    write_decomposition_file(tmp_path / "bad.txt", bad)
+    _, verify_out, _ = run_cli(["verify", "bad.txt"], capsys)
+    assert verify_out.startswith("MISMATCH rank-bound ")
+    argv = ["search", "--start", "bad.txt", "--max-steps", "100", "--restarts", "2",
+            "--workers", "2", *(["--symmetric"] if symmetric else [])]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == verify_out and err == ""
+    assert pools == []  # refused before any walk or pool
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]  # no search output
+
+
 def test_search_symmetric_from_start_file(tmp_path, capsys):
     from mmrank.proof import naive_symmetric_form
     from mmrank.fields import F2 as f2
@@ -309,6 +338,8 @@ def test_compile_and_bench(tmp_path, capsys):
     ["search", "--workers", "0"],
     ["search", "--patience", "-1"],
     ["search", "--target-rank", "-1"],
+    ["search", "--seed", "-1"],
+    ["search", "--seed", str(2**64)],
     *(["search", f"--{flag}", str(value)]
       for flag in ("max-steps", "plus-budget", "patience", "target-rank")
       for value in (2**63, 2**64 + 40)),

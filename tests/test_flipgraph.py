@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 
 from mmrank.fields import F2, PrimeField, Q
-from mmrank.flipgraph import SearchConfig, SearchResult, _native, packing, random_walk, search, walk
-from mmrank.flipgraph.engine import _OTHER_SLOTS, GenericKernel, PackedF2Kernel, _Walk, run_walk
+from mmrank.flipgraph import SearchConfig, SearchResult, _native, random_walk, search, walk
+from mmrank.flipgraph.engine import _OTHER_SLOTS, _Walk, run_walk
 from mmrank.flipgraph.walk import _from_kernel_terms, _kernel_for, _to_kernel_terms
 from mmrank.proof import rank7_symmetric_form
 from mmrank.symmetry import flatten
@@ -48,7 +48,7 @@ def pool_dec(field, n, terms, rnd, pool=3):
 
 
 def make_walk(dec, target=None):
-    """Walk state on ``dec`` (packed over F2, generic elsewhere); no move made yet."""
+    """Walk state on ``dec``, its factors as entry tuples; no move made yet."""
     kernel = _kernel_for(dec.field, dec.n)
     target = expand_decomposition(dec) if target is None else target
     return _Walk(kernel, _to_kernel_terms(kernel, dec), target.sparse(), seed=0, max_steps=1,
@@ -57,13 +57,10 @@ def make_walk(dec, target=None):
 
 
 def terms_of(w):
-    field = getattr(w.k, "field", F2)  # a PackedF2Kernel works over F2 only
-    return _from_kernel_terms(w.k, field, w.k.n, list(zip(*w.fac)))
+    return _from_kernel_terms(w.k, list(zip(*w.fac)))
 
 
 def kernel_factor(w, m):
-    if isinstance(w.k, PackedF2Kernel):
-        return packing.matrix_to_mask(m)
     return w.k.lift(m.entries)
 
 
@@ -369,10 +366,10 @@ def test_walk_requires_verified_start():
 
 
 @pytest.mark.parametrize("field", ["max_steps", "restarts", "plus_budget",
-                                   "verify_every", "patience", "target_rank"])
+                                   "verify_every", "patience", "target_rank", "seed"])
 def test_search_config_rejects_out_of_range(field):
     low = {"max_steps": 1, "restarts": 1}.get(field, 0)
-    high = 100_000 if field == "restarts" else 2**63 - 1
+    high = {"restarts": 100_000, "seed": 2**64 - 1}.get(field, 2**63 - 1)
     SearchConfig(**{"seed": 1, "max_steps": 1, field: low})
     SearchConfig(**{"seed": 1, "max_steps": 1, field: high})
     with pytest.raises(ValueError, match=f"{field} must be >= {low}"):
@@ -380,6 +377,14 @@ def test_search_config_rejects_out_of_range(field):
     for value in (high + 1, 2**64 + 40):
         with pytest.raises(ValueError, match=f"{field} must be <= {high}"):
             SearchConfig(**{"seed": 1, "max_steps": 1, field: value})
+
+
+def test_restart_seeds_wrap_at_64_bits():
+    m2 = matmul_tensor(2, F2)
+    start = standard_decomposition(2, F2)
+    cfg = SearchConfig(seed=2**64 - 1, max_steps=50, restarts=2)
+    assert [walk._one_restart((random_walk, m2, start, cfg, k)).seed for k in (0, 1)] == [
+        2**64 - 1, 0]
 
 
 def test_walk_m1_is_already_minimal():
@@ -414,30 +419,10 @@ def test_walk_reaches_rank_7_over_f2():
     assert res.rank <= 7
 
 
-def outcome_record(kernel, field, n, out):
-    """Everything a walk outcome pins down, with its terms as ``RankOneTerm``s."""
-    return (out.trace, out.best_rank, out.steps,
-            _from_kernel_terms(kernel, field, n, out.best_terms),
-            _from_kernel_terms(kernel, field, n, out.final_terms))
-
-
-def test_generic_engine_matches_packed_on_f2():
-    m2 = matmul_tensor(2, F2)
-    start = standard_decomposition(2, F2)
-    for seed in (1, 2, 3):
-        packed, generic = (
-            outcome_record(kernel, F2, 2, run_walk(
-                kernel, _to_kernel_terms(kernel, start), m2.sparse(), seed=seed,
-                max_steps=2500, plus_budget=4, collect_trace=True))
-            for kernel in (PackedF2Kernel(2), GenericKernel(F2, 2))
-        )
-        assert packed == generic
-
-
 def assert_backends_agree(target, start, cfg):
     """The native and pure walks give one trace, rank, step count, best and final terms.
 
-    Over F2 both walk packed masks, over F3 entry tuples.
+    Both walk entry tuples; the native one passes each factor to C as its key.
     """
     n = start.n
     kernel = _kernel_for(start.field, n)

@@ -127,16 +127,58 @@ def walk_path(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("name", sorted(GENERIC_F3))
-def test_generic_f3_walk_trajectory(tmp_path, name, walk_path):
-    n, seed, steps, plus, patience, every, target, trace_sha, rank, n_steps, out_sha = (
-        GENERIC_F3[name])
+# The same layout over F2.  Recorded with the walk on bit-packed factors,
+# before F2 factors became entry tuples; both paths must give them.
+GENERIC_F2 = {
+    "f2_m2_standard": (
+        2, 1, 3000, 20, 100, 0, None,
+        "814473ed6d6a8c0a0df1a1113998ce2e0dd93500ce0f34df752783c4f7431152",
+        7, 1870, "bb11d853420f171e87f3d65ceb86b0216dfb0a5c12145529f6760a55f8907273"),
+    "f2_m2_frequent_plus": (
+        2, 4, 3000, 3000, 5, 0, None,
+        "5617a6d0ba6339327906c047de46a1cd2f688040bc6eb4343d860dc727f04d36",
+        7, 3000, "6dfc55394ec7e1901a5d32d949e38fc3adbd8a1881344ab95a28bf79401516c8"),
+    "f2_m2_target_rank": (
+        2, 1, 20000, 20000, 50, 0, 7,
+        "ca9e3dce306f7cb0b15e6cce2ecebc05224dbe30aed845718d5986133c7f84a0",
+        7, 1487, "265ea164590774ca54f021553c7bf5e4767ef58264fec2c7296cfc4148876b6f"),
+    "f2_m3_target_rank": (
+        3, 3, 20000, 20, 300, 0, 24,
+        "45af6fe1563f22f12178bb416248f09dd232f8900da094534580f3b930634a91",
+        24, 2108, "324c9dc685153073414b9385e0034d78e195f0f9709ade54cc02e6b734cc7551"),
+    "f2_m3_verify_every_step": (
+        3, 3, 300, 50, 40, 1, None,
+        "fba07ccc6e237b01b09f6ad97bb009aacbdc9a84fac1f9485090ba70707d8b66",
+        27, 300, "7adcc70e66d31e9b73e3e016f1b628145bfd0f164c77695fe52663a31b1eb610"),
+    "f2_m3_frequent_plus": (
+        3, 6, 1500, 1500, 10, 0, None,
+        "24393d883d03d06273ea745e1d4c6e758c9f0d43ef37325c62794f934726d1a5",
+        27, 1500, "7adcc70e66d31e9b73e3e016f1b628145bfd0f164c77695fe52663a31b1eb610"),
+    "f2_m4_frequent_plus": (
+        4, 2, 600, 600, 30, 0, None,
+        "a3248b5d96209c15ef186ac4973628a173f9b47fee5ba34f43a9254ce3e63444",
+        64, 600, "c0f9e6d0f17ae522476b9d6faa5e8646c530504b2f78e29b76a4825589708a79"),
+}
+
+
+def check_prime_field_walk(tmp_path, field, case):
+    n, seed, steps, plus, patience, every, target, trace_sha, rank, n_steps, out_sha = case
     cfg = SearchConfig(seed=seed, max_steps=steps, plus_budget=plus, patience=patience,
                        verify_every=every, target_rank=target)
-    res = random_walk(matmul_tensor(n, F3), standard_decomposition(n, F3), cfg,
+    res = random_walk(matmul_tensor(n, field), standard_decomposition(n, field), cfg,
                       collect_trace=True)
     got = (sha(repr(res.trace).encode()), res.rank, res.steps, file_sha(tmp_path, res.decomposition))
     assert got == (trace_sha, rank, n_steps, out_sha)
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_F3))
+def test_generic_f3_walk_trajectory(tmp_path, name, walk_path):
+    check_prime_field_walk(tmp_path, F3, GENERIC_F3[name])
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_F2))
+def test_plain_f2_walk_trajectory(tmp_path, name, walk_path):
+    check_prime_field_walk(tmp_path, F2, GENERIC_F2[name])
 
 
 # name: (field, seed, max_steps, plus_budget, patience, verify_every,

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from mmrank.fields import F2, PrimeField, Q
-from mmrank.flipgraph import HAVE_COMPILED, SearchConfig, _native, packing, random_walk
-from mmrank.flipgraph.engine import GenericKernel, PackedF2Kernel, SoundnessError, run_walk
+from mmrank.flipgraph import HAVE_COMPILED, SearchConfig, _native, random_walk
+from mmrank.flipgraph.engine import GenericKernel, SoundnessError, run_walk
 from mmrank.flipgraph.walk import _to_kernel_terms
 from mmrank.tensors import matmul_tensor, standard_decomposition
 
@@ -135,18 +135,19 @@ def test_kernel_runs_clean_under_ubsan(tmp_path, cli_env):
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
 
 
-def m3_packed():
-    start = packing.pack_terms(standard_decomposition(3, F2))
-    target = packing.tensor_to_int(matmul_tensor(3, F2))
-    return start, target, packing.int_to_words(target, 3**6)
+def m3_f2():
+    kernel = GenericKernel(F2, 3)
+    start = _to_kernel_terms(kernel, standard_decomposition(3, F2))
+    target = matmul_tensor(3, F2).sparse()
+    return start, target, _native.target_words(kernel, target)
 
 
 def test_traced_walk_matches_pure_engine(native):
-    start, target, words = m3_packed()
+    start, target, words = m3_f2()
     limits = dict(max_steps=3000, plus_budget=40, patience=100, verify_every=7)
     best, best_rank, steps, final, trace = _native.walk_f2(
         3, start, words, 6, *limits.values(), -1, True)
-    pure = run_walk(PackedF2Kernel(3), start, target, seed=6, collect_trace=True, **limits)
+    pure = run_walk(GenericKernel(F2, 3), start, target, seed=6, collect_trace=True, **limits)
     assert trace == pure.trace
     assert all(type(rec) is tuple for rec in trace)
     assert (best_rank, steps) == (pure.best_rank, pure.steps)
@@ -156,7 +157,7 @@ def test_traced_walk_matches_pure_engine(native):
 
 
 def test_walk_outgrowing_its_first_capacity_grows_in_one_call(native, monkeypatch):
-    start, target, words = m3_packed()
+    start, target, words = m3_f2()
     limits = dict(max_steps=400, plus_budget=400, patience=0, verify_every=0)
     kernel, calls = _native._kernel, []
 
@@ -173,7 +174,7 @@ def test_walk_outgrowing_its_first_capacity_grows_in_one_call(native, monkeypatc
     (first_cap, final_cap), = calls
     # the kernel doubles its state only when a plus move finds all 27 slots live
     assert first_cap == 27 and final_cap >= 54
-    pure = run_walk(PackedF2Kernel(3), start, target, seed=2, collect_trace=True, **limits)
+    pure = run_walk(GenericKernel(F2, 3), start, target, seed=2, collect_trace=True, **limits)
     assert trace == pure.trace
     assert (best_rank, steps, tuple(best), tuple(final)) == (
         pure.best_rank, pure.steps, pure.best_terms, pure.final_terms)
@@ -181,18 +182,20 @@ def test_walk_outgrowing_its_first_capacity_grows_in_one_call(native, monkeypatc
 
 @pytest.mark.parametrize("verify_every", [0, 1])
 def test_native_walk_reports_unsound_state(native, verify_every):
-    start, _target, words = m3_packed()
+    start, _target, words = m3_f2()
     words[0] ^= 1  # the start no longer expands to this target
     with pytest.raises(SoundnessError):
         _native.walk_f2(3, start, words, 1, 100, 0, 10, verify_every, -1, False)
 
 
 def test_native_walk_rejects_bad_arguments(native):
-    start, _target, words = m3_packed()
+    start, _target, words = m3_f2()
     with pytest.raises(ValueError, match="rejected"):
         _native.walk_f2(3, start, words[:-1], 1, 100, 0, 10, 0, -1, False)
-    with pytest.raises(ValueError, match="rejected"):  # a factor wider than n*n bits
-        _native.walk_f2(3, [(1 << 9, 1, 1)] + start, words, 1, 100, 0, 10, 0, -1, False)
+    one = (1,) + (0,) * 8
+    with pytest.raises(ValueError, match="rejected"):  # an entry outside 0..1
+        _native.walk_f2(3, [((2,) + (0,) * 8, one, one)] + start, words,
+                        1, 100, 0, 10, 0, -1, False)
     for value in (2**63, 2**64 + 40):  # ctypes would wrap these
         for at in range(5):  # max_steps, plus_budget, patience, verify_every, target_rank
             limits = [100, 0, 10, 0, -1]
@@ -257,7 +260,7 @@ def test_other_fields_and_sides_keep_the_pure_engine(native, monkeypatch):
     # tensors stop at side 6, so only the kernel choice can be asked about side 7
     assert not _native.handles(GenericKernel(F3, 7))
     assert not _native.handles(GenericKernel(PrimeField(5), 2))
-    assert not _native.handles(GenericKernel(F2, 2))
+    assert _native.handles(GenericKernel(F2, 2))  # F2 walks on the kernel
 
 
 def test_no_ext_walks_f3_without_the_kernel(tmp_path, cli_env):
